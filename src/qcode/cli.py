@@ -20,8 +20,8 @@ from .golden import GoldenDataError, verify_all, wordtype_str
 from .jchar import WordSpectrum, spectrum_bruteforce, summarize
 from .theory import (PreconditionError, SpectrumMismatch, TheoryReport,
                      analyze, fixed_point_7, periodic_extend, search)
-from .z4 import (BudgetExceeded, FrequencyVector, GeneratorSpec,
-                 build_design, design_from_text, design_to_text,
+from .z4 import (BudgetExceeded, FrequencyVector, build_design,
+                 design_from_text, design_to_text, generator_for_frequency,
                  load_generator)
 
 EXIT_OK = 0
@@ -159,8 +159,7 @@ def cmd_search(args) -> int:
         "A": list(rep.a_values),
         "gwlp": [str(x) for x in rep.summary.gwlp],
         "resolution": rep.summary.resolution_text(),
-        "witness_V": [list(row) for row in
-                      _witness_rows(f)],
+        "witness_V": [list(row) for row in generator_for_frequency(f).V],
     } for f, rep in results]
     if args.format == "text":
         lines = []
@@ -171,11 +170,6 @@ def cmd_search(args) -> int:
     else:
         _emit(args, _json(payload))
     return EXIT_OK
-
-
-def _witness_rows(f: FrequencyVector):
-    from .z4 import generator_for_frequency
-    return generator_for_frequency(f).V
 
 
 def _load_frequency(path: str) -> FrequencyVector:

@@ -65,12 +65,20 @@ def wordtype_str(w: tuple[int, ...]) -> str:
     return "".join(str(x) for x in w)
 
 
-def _diff_rows(diffs: list[str], what: str, p: int, labels, got, want):
-    for label, grow, wrow in zip(labels, got, want):
-        for i, (g, w) in enumerate(zip(grow, wrow)):
-            if g != w:
-                diffs.append(f"p={p} {what} row {label} cell {i}: "
-                             f"expected {w}, got {g}")
+def _diff_cells(diffs: list[str], prefix: str, got, want,
+                name=lambda i: f"cell {i}") -> None:
+    """Report every differing cell the two sequences share (recursing
+    into the rows of a matrix) and any difference in their lengths."""
+    got, want = list(got), list(want)
+    nested = bool(want) and isinstance(want[0], list)
+    if len(got) != len(want):
+        diffs.append(f"{prefix} expected {len(want)} "
+                     f"{'rows' if nested else 'cells'}, got {len(got)}")
+    for i, (g, w) in enumerate(zip(got, want)):
+        if nested:
+            _diff_cells(diffs, f"{prefix} {name(i)}", g, w)
+        elif g != w:
+            diffs.append(f"{prefix} {name(i)}: expected {w}, got {g}")
 
 
 def verify_matrices(p: int) -> list[str]:
@@ -79,23 +87,19 @@ def verify_matrices(p: int) -> list[str]:
     sysm = build_system(p)
     diffs: list[str] = []
     got_k = [wordtype_str(w) for w in sysm.k_order]
-    for i, (g, w) in enumerate(zip(got_k, gold["K_order"])):
-        if g != w:
-            diffs.append(f"p={p} K_order position {i}: expected {w}, got {g}")
-    for i, (g, w) in enumerate(zip(sysm.constants, gold["constants"])):
-        if g != w:
-            diffs.append(f"p={p} constants row {got_k[i]} cell {i}: "
-                         f"expected {w}, got {g}")
-    _diff_rows(diffs, "C", p, got_k, sysm.c_matrix(), gold["C"])
     got_a = [wordtype_str(pi) for pi in sysm.a_order]
-    for i, (g, w) in enumerate(zip(got_a, gold["A_order"])):
-        if g != w:
-            diffs.append(f"p={p} A_order position {i}: expected {w}, got {g}")
-    for i, (g, w) in enumerate(zip(sysm.deltas, gold["deltas"])):
-        if g != w:
-            diffs.append(f"p={p} deltas row {got_a[i]} cell {i}: "
-                         f"expected {w}, got {g}")
-    _diff_rows(diffs, "B", p, got_a, sysm.b_matrix(), gold["B"])
+    _diff_cells(diffs, f"p={p} K_order", got_k, gold["K_order"],
+                lambda i: f"position {i}")
+    _diff_cells(diffs, f"p={p} constants", sysm.constants, gold["constants"],
+                lambda i: f"row {got_k[i]} cell {i}")
+    _diff_cells(diffs, f"p={p} C", sysm.c_matrix(), gold["C"],
+                lambda i: f"row {got_k[i]}")
+    _diff_cells(diffs, f"p={p} A_order", got_a, gold["A_order"],
+                lambda i: f"position {i}")
+    _diff_cells(diffs, f"p={p} deltas", sysm.deltas, gold["deltas"],
+                lambda i: f"row {got_a[i]} cell {i}")
+    _diff_cells(diffs, f"p={p} B", sysm.b_matrix(), gold["B"],
+                lambda i: f"row {got_a[i]}")
     return diffs
 
 
@@ -140,13 +144,8 @@ def verify_examples() -> list[str]:
     got_len = [k + c for k, c in zip(ev.k_values, sys3.constants)]
     for what, got, want in (("K", ev.k_values, d4["K"]),
                             ("lengths", got_len, d4["lengths"])):
-        if len(got) != len(want):
-            diffs.append(f"design_256x14: {what} expected {len(want)} "
-                         f"cells, got {len(got)}")
-        for i, (gv, wv) in enumerate(zip(got, want)):
-            if gv != wv:
-                diffs.append(f"design_256x14: {what} cell {i} "
-                             f"({labels3[i]}): expected {wv}, got {gv}")
+        _diff_cells(diffs, f"design_256x14: {what}", got, want,
+                    lambda i: f"cell {i} ({labels3[i]})")
     rep = analyze(g, method="both")  # closed form vs subset scan
     got_spec = [[l, str(r), c] for l, r, c in rep.spectrum.entries]
     want_spec = [[l, r, c] for l, r, c in d4["spectrum"]]

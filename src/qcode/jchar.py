@@ -116,41 +116,50 @@ def scan_cost(factors: int, runs: int, max_len: int) -> int:
 
 def _popcount(a: np.ndarray) -> np.ndarray:
     if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(a).astype(np.int64)
-    a = a.astype(np.uint64)
-    out = np.zeros_like(a)
-    while a.any():
-        out += a & 1
-        a >>= np.uint64(1)
-    return out.astype(np.int64)
+        return np.bitwise_count(a)
+    bits = np.unpackbits(a.astype(np.uint64)[..., None].view(np.uint8), axis=-1)
+    return bits.sum(axis=-1, dtype=np.uint8)
 
 
-def negation_masks(d: BinaryDesign) -> np.ndarray:
-    """Per-run bitmask of columns holding -1 (bit i = column i+1)."""
-    bits = (d.cells < 0).astype(np.int64)
-    return bits @ (1 << np.arange(d.factors, dtype=np.int64))
+def negation_masks(d) -> np.ndarray:
+    """Per-run bitmask of columns holding -1 (bit i = column i+1), for a
+    design or a (..., runs, factors) stack of design cells."""
+    cells = d.cells if isinstance(d, BinaryDesign) else d
+    bits = (cells < 0).astype(np.int64)
+    return bits @ (1 << np.arange(cells.shape[-1], dtype=np.int64))
 
 
 def walsh_hadamard(counts: np.ndarray) -> np.ndarray:
-    """In-place-style WHT; entry S of the result is j of column subset S."""
-    h = counts.astype(np.int64).copy()
-    size = h.shape[-1]
-    step = 1
-    while step < size:
-        shaped = h.reshape(-1, 2 * step)
-        lo = shaped[:, :step].copy()
-        hi = shaped[:, step:].copy()
-        shaped[:, :step] = lo + hi
-        shaped[:, step:] = lo - hi
-        step *= 2
-    return h
+    """WHT along the last axis (leading axes are a batch), in the input's
+    dtype; entry S of the result is j of column subset S.  Each stage
+    writes neighbouring pairs' sums and differences to the other buffer's
+    two halves (constant geometry)."""
+    half = counts.shape[-1] // 2
+    out = counts.copy()
+    buf = np.empty_like(out)
+    for _ in range(half.bit_length()):
+        even, odd = out[..., 0::2], out[..., 1::2]
+        np.add(even, odd, out=buf[..., :half])
+        np.subtract(even, odd, out=buf[..., half:])
+        out, buf = buf, out
+    return out
+
+
+def _subset_j(cells: np.ndarray) -> np.ndarray:
+    """j of every column subset, per design of a (..., runs, factors)
+    stack: a histogram of the negation masks, then its WHT, both in the
+    narrowest integer type that holds +-runs."""
+    runs, factors = cells.shape[-2:]
+    masks = negation_masks(cells).reshape(-1, runs)
+    counts = np.zeros((masks.shape[0], 1 << factors),
+                      dtype=np.min_scalar_type(-runs - 1))
+    np.add.at(counts, (np.arange(masks.shape[0])[:, None], masks), 1)
+    return walsh_hadamard(counts.reshape(cells.shape[:-2] + (-1,)))
 
 
 def _spectrum_wht(d: BinaryDesign, max_len: int) -> WordSpectrum:
-    m = d.factors
-    counts = np.bincount(negation_masks(d), minlength=1 << m)
-    j = walsh_hadamard(counts)
-    sizes = _popcount(np.arange(1 << m, dtype=np.int64))
+    j = _subset_j(d.cells)
+    sizes = _popcount(np.arange(j.size, dtype=np.uint32))
     keep = (j != 0) & (sizes >= 3) & (sizes <= max_len)
     pairs = np.stack([sizes[keep], np.abs(j[keep])], axis=1)
     cells, n = np.unique(pairs, axis=0, return_counts=True)
@@ -159,14 +168,30 @@ def _spectrum_wht(d: BinaryDesign, max_len: int) -> WordSpectrum:
     return WordSpectrum(entries)
 
 
+def _size_profiles(cells: np.ndarray, squared: bool) -> np.ndarray:
+    """Per design of a (batch, runs, factors) stack and per subset size
+    k = 3..factors: with `squared` the sum of j^2 over k-subsets (runs^2
+    A_k), else the largest |j|, up to the first k at which every design
+    has a word (later columns stay 0)."""
+    j = _subset_j(cells)
+    sizes = _popcount(np.arange(j.shape[-1]))
+    out = np.zeros((len(j), cells.shape[-1] - 2), dtype=np.int64)
+    for k in range(3, cells.shape[-1] + 1):
+        seg = np.take(j, np.flatnonzero(sizes == k), axis=1)
+        if squared:
+            out[:, k - 3] = np.einsum("ij,ij->i", seg, seg, dtype=np.int64)
+        else:
+            out[:, k - 3] = np.abs(seg).max(axis=1)
+            if out[:, :k - 2].any(axis=1).all():
+                break
+    return out
+
+
 def _spectrum_dfs(d: BinaryDesign, max_len: int) -> WordSpectrum:
     # bit-packed columns: XOR composes products, popcount recovers j
-    cols = []
-    for i in range(d.factors):
-        mask = 0
-        for r in np.nonzero(d.cells[:, i] < 0)[0]:
-            mask |= 1 << int(r)
-        cols.append(mask)
+    packed = np.packbits(d.cells < 0, axis=0, bitorder="little")
+    cols = [int.from_bytes(packed[:, i].tobytes(), "little")
+            for i in range(d.factors)]
     runs = d.runs
     found: dict[tuple[int, int], int] = {}
 
@@ -175,7 +200,7 @@ def _spectrum_dfs(d: BinaryDesign, max_len: int) -> WordSpectrum:
             cur = acc ^ cols[i]
             size = depth + 1
             if size >= 3:
-                j = runs - 2 * bin(cur).count("1")
+                j = runs - 2 * cur.bit_count()
                 if j:
                     key = (size, abs(j))
                     found[key] = found.get(key, 0) + 1
@@ -192,13 +217,13 @@ def spectrum_bruteforce(d: BinaryDesign, max_len: int,
     """Every subset of 3..max_len columns with a nonzero J-characteristic."""
     if max_len > d.factors:
         raise ValueError(f"max_len {max_len} exceeds {d.factors} factors")
+    if d.factors <= _WHT_MAX_FACTORS:
+        return _spectrum_wht(d, max_len)
     cost = scan_cost(d.factors, d.runs, max_len)
     if cost > CELL_READ_BUDGET and not force:
         raise BudgetExceeded(
             f"subset scan needs about {cost:.2e} cell reads "
             f"(budget {CELL_READ_BUDGET:.0e}); pass force to run anyway")
-    if d.factors <= _WHT_MAX_FACTORS:
-        return _spectrum_wht(d, max_len)
     return _spectrum_dfs(d, max_len)
 
 

@@ -17,9 +17,10 @@ import numpy as np
 
 from .equations import EquationSystem, build_system, cells
 from .jchar import (BudgetExceeded, DesignSummary, WordSpectrum,
-                    spectrum_bruteforce, summarize)
-from .z4 import (FrequencyVector, GeneratorSpec, build_design,
-                 frequency_vector, generator_for_frequency)
+                    _popcount, _size_profiles, spectrum_bruteforce,
+                    summarize)
+from .z4 import (FrequencyVector, GeneratorSpec, _codewords, _gray_cells,
+                 build_design, frequency_vector, generator_for_frequency)
 
 #: refuse searches over more candidate frequency vectors than this
 CANDIDATE_BUDGET = 10 ** 8
@@ -36,6 +37,11 @@ class SpectrumMismatch(RuntimeError):
 #: parity patterns whose frequency mass must be positive for the
 #: closed-form spectrum: one even position, the other two odd
 _PRECONDITION_PARITIES = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
+
+#: one row per precondition pattern: 1 on the p = 3 cells of that parity
+_PRECONDITION_MASK = np.array(
+    [[tuple(x % 2 for x in pat) == pi for pat in cells(3)]
+     for pi in _PRECONDITION_PARITIES], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -60,21 +66,15 @@ def evaluate(f: FrequencyVector, system: EquationSystem | None = None
 
 
 def parity_class_sums(f: FrequencyVector) -> dict[tuple[int, ...], int]:
-    sysm = build_system(f.p)
-    ev = evaluate(f, sysm)
-    return dict(zip(sysm.a_order, ev.a_values))
+    return dict(zip(build_system(f.p).a_order, evaluate(f).a_values))
 
 
 def precondition_sums(f: FrequencyVector) -> dict[tuple[int, ...], int]:
     """Frequency mass on each of the three mixed parity patterns."""
     if f.p != 3:
         raise ValueError("preconditions are defined for p = 3 only")
-    masses = dict.fromkeys(_PRECONDITION_PARITIES, 0)
-    for pat, c in zip(cells(3), f.counts):
-        par = tuple(x % 2 for x in pat)
-        if par in masses:
-            masses[par] += c
-    return masses
+    masses = _PRECONDITION_MASK @ np.asarray(f.counts, dtype=np.int64)
+    return dict(zip(_PRECONDITION_PARITIES, masses.tolist()))
 
 
 def preconditions_met(f: FrequencyVector) -> bool:
@@ -98,6 +98,11 @@ def theory_spectrum(f: FrequencyVector) -> WordSpectrum:
     over its 4 canonical wordtypes at length k_w + Lee(w); the 7 fully
     even wordtypes contribute one completely aliased word each.
     """
+    _require_preconditions(f)
+    return _spectrum(evaluate(f))
+
+
+def _require_preconditions(f: FrequencyVector) -> None:
     if f.p != 3:
         raise ValueError(
             f"closed-form spectrum covers p = 3 only, got p = {f.p}")
@@ -108,8 +113,10 @@ def theory_spectrum(f: FrequencyVector) -> WordSpectrum:
             f"no frequency mass on parity pattern(s) {names}; the "
             "closed form does not apply here, fall back to the "
             "brute-force oracle (method 'bruteforce')")
+
+
+def _spectrum(ev: TheoryEvaluation) -> WordSpectrum:
     sysm = build_system(3)
-    ev = evaluate(f, sysm)
     sums = dict(zip(sysm.a_order, ev.a_values))
     agg: dict[tuple[int, Fraction], int] = {}
     for w, k, const in zip(sysm.k_order, ev.k_values, sysm.constants):
@@ -127,10 +134,12 @@ def theory_spectrum(f: FrequencyVector) -> WordSpectrum:
 
 def class_rhos(f: FrequencyVector) -> tuple[Fraction, ...]:
     """Aliasing index per odd parity class, aligned with A_order."""
-    sysm = build_system(3)
-    ev = evaluate(f, sysm)
+    return _class_rhos(evaluate(f, build_system(3)))
+
+
+def _class_rhos(ev: TheoryEvaluation) -> tuple[Fraction, ...]:
     return tuple(Fraction(1, 2 ** aliasing_exponent(sum(pi), a))
-                 for pi, a in zip(sysm.a_order, ev.a_values))
+                 for pi, a in zip(build_system(3).a_order, ev.a_values))
 
 
 @dataclass(frozen=True)
@@ -176,7 +185,7 @@ def analyze(g: GeneratorSpec, method: str = "theory",
     f = frequency_vector(g)
     ev = evaluate(f)
     ok = preconditions_met(f) if g.p == 3 else g.p < 3
-    rhos = class_rhos(f) if g.p == 3 and ok else ()
+    rhos = _class_rhos(ev) if g.p == 3 and ok else ()
 
     brute = theory = None
     if method in ("bruteforce", "both"):
@@ -186,7 +195,8 @@ def analyze(g: GeneratorSpec, method: str = "theory",
                 "non-dyadic aliasing index in a quaternary-code design")
     if method in ("theory", "both"):
         if g.p == 3:
-            theory = _clip(theory_spectrum(f), max_len)
+            _require_preconditions(f)
+            theory = _clip(_spectrum(ev), max_len)
         else:
             # below p = 3 the scan is both reference and fast path
             theory = brute if brute is not None else spectrum_bruteforce(
@@ -234,10 +244,12 @@ def periodic_extend(f0: FrequencyVector, t: int) -> PeriodicFamily:
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    spec0 = theory_spectrum(f0)  # also enforces p=3 + preconditions
+    _require_preconditions(f0)
+    ev0 = evaluate(f0)
+    spec0 = _spectrum(ev0)
     ft = FrequencyVector(f0.p, (f0.counts[0],)
                          + tuple(c + t for c in f0.counts[1:]))
-    ev0, evt = evaluate(f0), evaluate(ft)
+    evt = evaluate(ft)
     if any(b - a != 64 * t for a, b in zip(ev0.k_values, evt.k_values)):
         raise AssertionError("word-count shift identity violated")
     if any(b - a != 32 * t for a, b in zip(ev0.a_values, evt.a_values)):
@@ -277,8 +289,10 @@ def search(n: int, p: int, criterion: str = "max_resolution",
         raise ValueError(f"unknown criterion {criterion!r}")
     if top < 1:
         raise ValueError("top must be positive")
-    if p > 3:
-        raise ValueError("search covers p <= 3")
+    if n < 1:
+        raise ValueError(f"n must be positive, got n = {n}")
+    if not 1 <= p <= 3:
+        raise ValueError(f"search covers p in 1..3, got p = {p}")
     total = candidate_count(n, p)
     if total > CANDIDATE_BUDGET and not force:
         raise BudgetExceeded(
@@ -325,12 +339,8 @@ def _score_batch(fmat: np.ndarray, rows: np.ndarray, n: int, p: int,
     """
     nb = fmat.shape[0]
     runs = 4 ** n
-    use_theory = np.zeros(nb, dtype=bool)
-    if p == 3:
-        par = np.array([[1 if tuple(x % 2 for x in pat) == pi else 0
-                         for pat in cells(3)]
-                        for pi in _PRECONDITION_PARITIES], dtype=np.int64)
-        use_theory = (fmat @ par.T > 0).all(axis=1)
+    use_theory = ((fmat @ _PRECONDITION_MASK.T > 0).all(axis=1) if p == 3
+                  else np.zeros(nb, dtype=bool))
 
     keys: list[tuple | None] = [None] * nb
     if use_theory.any():
@@ -371,67 +381,18 @@ def _theory_key(lengths, exponents, odd, factors, runs, criterion):
 
 
 def _oracle_keys(rows: np.ndarray, n: int, p: int, criterion: str) -> list:
-    """Exact keys via a batched Walsh-Hadamard transform of the runs."""
-    nb = rows.shape[0]
-    factors = 2 * n + 2 * p
-    runs = 4 ** n
-    size = 1 << factors
-    digits = (rows[:, :, None] >> (2 * np.arange(p - 1, -1, -1))) & 3
-    t = np.arange(runs, dtype=np.int64)
-    tdig = (t[:, None] >> (2 * np.arange(n - 1, -1, -1))) & 3
-    left = np.einsum("rk,bkj->brj", tdig, digits) % 4
-    mask = np.zeros((nb, runs), dtype=np.int64)
-    for j in range(p):
-        d = left[:, :, j]
-        mask |= (d >= 2).astype(np.int64) << (2 * j)
-        mask |= ((d == 1) | (d == 2)).astype(np.int64) << (2 * j + 1)
-    for i in range(n):
-        d = tdig[None, :, i]
-        mask |= (d >= 2).astype(np.int64) << (2 * p + 2 * i)
-        mask |= ((d == 1) | (d == 2)).astype(np.int64) << (2 * p + 2 * i + 1)
-    flat = (mask + size * np.arange(nb)[:, None]).ravel()
-    h = np.bincount(flat, minlength=nb * size).reshape(nb, size)
-    h = h.astype(np.int16 if runs < 2 ** 15 else np.int64)
-    step = 1
-    while step < size:
-        shaped = h.reshape(nb, -1, 2 * step)
-        lo = shaped[:, :, :step].copy()
-        hi = shaped[:, :, step:].copy()
-        shaped[:, :, :step] = lo + hi
-        shaped[:, :, step:] = lo - hi
-        step *= 2
-
-    by_size = _subset_indices_by_size(factors)
-    keys = []
-    for bi in range(nb):
-        row = h[bi]
-        if criterion == "max_resolution":
-            key = (-(factors + 1), 0)
-            for s in range(3, factors + 1):
-                vals = np.abs(row[by_size[s]].astype(np.int64))
-                top = int(vals.max(initial=0))
-                if top:
-                    assert runs % top == 0 and (runs // top).bit_count() == 1
-                    key = (-s, -((runs // top).bit_length() - 1))
-                    break
-            keys.append(key)
-        else:
-            keys.append(tuple(
-                int((row[by_size[s]].astype(np.int64) ** 2).sum())
-                for s in range(3, factors + 1)))
-    return keys
-
-
-_SUBSET_CACHE: dict[int, dict[int, np.ndarray]] = {}
-
-
-def _subset_indices_by_size(factors: int) -> dict[int, np.ndarray]:
-    got = _SUBSET_CACHE.get(factors)
-    if got is None:
-        sizes = np.zeros(1 << factors, dtype=np.int64)
-        for b in range(factors):
-            sizes += (np.arange(1 << factors) >> b) & 1
-        got = {s: np.nonzero(sizes == s)[0]
-               for s in range(3, factors + 1)}
-        _SUBSET_CACHE[factors] = got
-    return got
+    """Exact keys from the batched oracle: the Gray image of each
+    candidate's code, through `jchar`'s masks and transform."""
+    V = (rows[:, :, None] >> (2 * np.arange(p - 1, -1, -1))) & 3
+    prof = _size_profiles(_gray_cells(_codewords(V)),
+                          squared=criterion == "gma")
+    if criterion == "gma":
+        return [tuple(key) for key in prof.tolist()]
+    found = prof > 0
+    worded, size = found.any(axis=1), found.argmax(axis=1)
+    top = prof[np.arange(len(prof)), size]
+    assert not (top & (top - 1)).any()  # aliasing indexes are dyadic
+    # rho = top / runs = 2^-e, and log2(top) is the popcount of top - 1
+    e = np.where(worded, 2 * n - _popcount(top - 1).astype(np.int64), 0)
+    r = np.where(worded, size + 3, 2 * n + 2 * p + 1)
+    return [(-rr, -ee) for rr, ee in zip(r.tolist(), e.tolist())]

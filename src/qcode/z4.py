@@ -26,6 +26,13 @@ class BudgetExceeded(RuntimeError):
     """A requested materialization or scan is over the resource guard."""
 
 
+def _require_ints(what: str, values) -> None:
+    """Only genuine ints: a bool or a float is an input error."""
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"{what} must be integers, got {x!r}")
+
+
 def lee_weight(x: int) -> int:
     """Lee weight of a Z4 element: 0,1,2,1 for 0,1,2,3."""
     if x not in (0, 1, 2, 3):
@@ -49,12 +56,14 @@ class GeneratorSpec:
     V: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _require_ints("n and p", (self.n, self.p))
         if self.n < 1 or self.p < 1:
             raise ValueError(f"n and p must be positive, got n={self.n}, p={self.p}")
         V = tuple(tuple(row) for row in self.V)
         if len(V) != self.n or any(len(row) != self.p for row in V):
             raise ValueError(f"V must be {self.n}x{self.p}")
         for row in V:
+            _require_ints("V entries", row)
             for x in row:
                 if x not in (0, 1, 2, 3):
                     raise ValueError(f"V entries must be in 0..3, got {x!r}")
@@ -82,6 +91,7 @@ class FrequencyVector:
     counts: tuple[int, ...]
 
     def __post_init__(self):
+        _require_ints("p and the counts", (self.p, *self.counts))
         if len(self.counts) != 4 ** self.p:
             raise ValueError(f"need 4^{self.p} counts, got {len(self.counts)}")
         if any(c < 0 for c in self.counts):
@@ -98,22 +108,29 @@ def codewords(g: GeneratorSpec) -> np.ndarray:
         raise BudgetExceeded(
             f"n={g.n} exceeds the materialization cap of {MAX_N}; "
             "use the closed-form path for larger generators")
+    return _codewords(np.array(g.V, dtype=np.int64))
+
+
+def _codewords(V: np.ndarray) -> np.ndarray:
+    """Codewords of each V in a (..., n, p) stack, as `codewords` orders them."""
+    n = V.shape[-2]
     # t matrix: row r holds the base-4 digits of r, most significant first
-    r = np.arange(4 ** g.n, dtype=np.int64)
-    shifts = 2 * np.arange(g.n - 1, -1, -1, dtype=np.int64)
-    t = (r[:, None] >> shifts[None, :]) & 3
-    V = np.array(g.V, dtype=np.int64)
+    t = (np.arange(4 ** n)[:, None] >> 2 * np.arange(n - 1, -1, -1)) & 3
     left = (t @ V) % 4
-    return np.concatenate([left, t], axis=1)
+    return np.concatenate(
+        [left, np.broadcast_to(t, left.shape[:-1] + (n,))], axis=-1)
+
+
+def _gray_cells(words: np.ndarray) -> np.ndarray:
+    """Gray image of (..., runs, m) codewords: (..., runs, 2m) +/-1 int8."""
+    gray = np.array(_GRAY, dtype=np.int8)  # 4 x 2
+    return gray[words].reshape(words.shape[:-1] + (2 * words.shape[-1],))
 
 
 def build_design(g: GeneratorSpec) -> BinaryDesign:
     """Gray image of the full code: 2^(2n) runs, 2(n+p) factors."""
-    words = codewords(g)
-    runs, m = words.shape
-    gray = np.array(_GRAY, dtype=np.int8)  # 4 x 2
-    cells = gray[words].reshape(runs, 2 * m)
-    return BinaryDesign(runs=runs, factors=2 * m, cells=cells)
+    cells = _gray_cells(codewords(g))
+    return BinaryDesign(*cells.shape, cells)
 
 
 def frequency_vector(g: GeneratorSpec) -> FrequencyVector:

@@ -171,3 +171,43 @@ def test_exit_3_on_oversized_construct(tmp_path, capsys):
     big.write_text(json.dumps({"n": 13, "p": 1,
                                "V": [[1]] * 13}))
     assert run(capsys, "construct", "--input", big)[0] == 3
+
+
+@pytest.mark.parametrize("entry", ["1.0", "true"])
+def test_exit_2_on_non_int_generator_entry(tmp_path, capsys, entry):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 1, "p": 1, "V": [[%s]]}' % entry)
+    code, _, err = run(capsys, "analyze", "--input", bad)
+    assert code == 2
+    assert err.count("\n") == 1 and "must be integers" in err
+
+
+def test_exit_2_on_non_int_frequency(tmp_path, capsys):
+    f = tmp_path / "f.json"
+    f.write_text("[0, 1.5, 0, 0]")
+    code, _, err = run(capsys, "extend", "--input", f, "--t", 1)
+    assert code == 2
+    assert err.count("\n") == 1 and "must be integers" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--p", 0), ("--p", 4),
+                                         ("--n", -1), ("--n", 0)])
+def test_exit_2_on_bad_search_argument(capsys, flag, value):
+    argv = {"--n": 2, "--p": 2, flag: value}
+    code, _, err = run(capsys, "search", *(x for kv in argv.items()
+                                           for x in kv))
+    assert code == 2
+    assert f"{flag[2:]} = {value}" in err
+
+
+def test_bruteforce_wide_generator_needs_no_force(tmp_path, capsys):
+    # 20 factors: the WHT route runs in well under a second, so the
+    # subset-scan budget (which it would exceed) does not apply to it
+    gen = tmp_path / "gen.json"
+    V = [[1, 0, 1], [0, 1, 1], [1, 1, 0], [1, 2, 3], [2, 1, 1], [3, 3, 1],
+         [1, 3, 2]]
+    gen.write_text(json.dumps({"n": 7, "p": 3, "V": V}))
+    code, out, _ = run(capsys, "analyze", "--input", gen,
+                       "--method", "bruteforce")
+    assert code == 0
+    assert json.loads(out)["factors"] == 20

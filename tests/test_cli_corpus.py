@@ -1,0 +1,105 @@
+"""Byte-for-byte CLI output: sha256 digests of stdout for a fixed corpus.
+
+The digests were recorded before the search oracle was folded into
+`jchar` and `analyze` moved to one evaluation; any refactor that keeps
+the outputs keeps them.  To re-record after an intended output change,
+run `python tests/test_cli_corpus.py` and paste what it prints.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from qcode import load_examples
+from qcode.cli import main
+
+CORPUS = (
+    *(("matrices", "--p", p, "--format", fmt)
+      for p in (1, 2, 3) for fmt in ("json", "text")),
+    *(("analyze", "--input", "{gen}", "--method", m)
+      for m in ("theory", "bruteforce", "both")),
+    ("construct", "--input", "{gen}"),
+    *(("search", "--n", n, "--p", p, "--criterion", c, "--top", 3)
+      for n, p in ((2, 3), (3, 2)) for c in ("max_resolution", "gma")),
+    ("verify",),
+    ("extend", "--input", "{freq}", "--t", 1),
+)
+
+DIGESTS = {
+    "matrices --p 1 --format json":
+        "5ed98a06febc1c4109043fbf7f1886a117ef7160fbbdf1a8882c7204c0864d17",
+    "matrices --p 1 --format text":
+        "11490b70cbbc5132155e7fbca9d57d1bf24f6ca0e6d791c8f5eb1dda0ddebbc4",
+    "matrices --p 2 --format json":
+        "bc70758ec7b9177d070d54dcbd587d9291542e585e11b21a019d8991e0e31cef",
+    "matrices --p 2 --format text":
+        "37f607e234286306d3ca582c13f64b3c9bfcbfe4bb1fb291268b4408989b6284",
+    "matrices --p 3 --format json":
+        "13ba2ef53f05549f6bf903cbbcb1364d8345584d4fbbd6b556d3aae0c1cc57cb",
+    "matrices --p 3 --format text":
+        "00c8d7f38c227ce9657f28839eac5c0c832d1106af9792bd8daa4ca7d6785cff",
+    "analyze --input {gen} --method theory":
+        "25955ea99e43e281cee1ae729c885afdc04e0d8f1fe2fa728f51479fedb2324b",
+    "analyze --input {gen} --method bruteforce":
+        "bc5c65e474577baafa99d9892d5eab3e21b90240b34b4f49e1d9e92338fb20aa",
+    "analyze --input {gen} --method both":
+        "19986852c2cb482efc6ac9dc7cc898d12e49d9c74427d0ffdae587edf05335e1",
+    "construct --input {gen}":
+        "bdaeee7413e878b3afaf7a6fe48a4d46afe65781e161106449269b7718195179",
+    "search --n 2 --p 3 --criterion max_resolution --top 3":
+        "3274bf29c9d5382b33bd58e864339fcc7972c4653417ddef43340b859051fd6f",
+    "search --n 2 --p 3 --criterion gma --top 3":
+        "7e22c6318b0a86d7130ddc338c0ef507d87159b596d6f23703900dda44994462",
+    "search --n 3 --p 2 --criterion max_resolution --top 3":
+        "ea648bf01109a645d86d9c9bd4539e0ae7727bbbbacbc2d0e386e171ae5eb348",
+    "search --n 3 --p 2 --criterion gma --top 3":
+        "ea648bf01109a645d86d9c9bd4539e0ae7727bbbbacbc2d0e386e171ae5eb348",
+    "verify":
+        "14cfc77d27ba3afbadc35fb6fa614f522c7806558e7b068ee612f8caa14ab18c",
+    "extend --input {freq} --t 1":
+        "322af31c430d9bbbf8e64113d55d25a812c45beb72cfc778a6f36918c2dd5f11",
+}
+
+
+def write_inputs(folder: Path) -> dict:
+    d4 = load_examples()["design_256x14"]
+    gen, freq = folder / "gen.json", folder / "freq.json"
+    gen.write_text(json.dumps({"n": len(d4["V"]), "p": 3, "V": d4["V"]}))
+    counts = [0] * 64
+    for c in d4["F_one_cells"]:
+        counts[c] = 1
+    freq.write_text(json.dumps(counts))
+    return {"gen": str(gen), "freq": str(freq)}
+
+
+def digest(argv, paths: dict) -> tuple[int, str]:
+    args = [str(a).format(**paths) for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(args)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def label(argv) -> str:
+    return " ".join(str(a) for a in argv)
+
+
+@pytest.mark.parametrize("argv", CORPUS, ids=label)
+def test_cli_stdout_digest(tmp_path, argv):
+    code, got = digest(argv, write_inputs(tmp_path))
+    assert code == 0
+    assert got == DIGESTS[label(argv)]
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_inputs(Path(tmp))
+        for argv in CORPUS:
+            code, got = digest(argv, paths)
+            assert code == 0, (argv, code)
+            sys.stdout.write(f'    "{label(argv)}":\n        "{got}",\n')

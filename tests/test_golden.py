@@ -2,6 +2,7 @@
 
 import pytest
 
+from qcode.cli import main
 from qcode import (GoldenDataError, load_examples, load_matrices,
                    verify_all, verify_examples, verify_matrices)
 import qcode.golden as golden
@@ -92,3 +93,29 @@ def test_verify_does_not_write_golden_files():
     verify_all()
     after = [(f.name, f.read_bytes()) for f in paths]
     assert before == after
+
+
+def _cut_matrices(monkeypatch, cut):
+    real = load_matrices
+
+    def tampered(p):
+        m = real(p)
+        if p == 3:
+            cut(m)
+        return m
+
+    monkeypatch.setattr(golden, "load_matrices", tampered)
+
+
+def test_verify_matrices_reports_missing_row(monkeypatch, capsys):
+    _cut_matrices(monkeypatch, lambda m: m["C"].pop())
+    assert verify_matrices(3) == ["p=3 C expected 34 rows, got 35"]
+    assert main(["verify", "--p", "3"]) == 1
+    assert "p=3 C expected 34 rows, got 35" in capsys.readouterr().out
+
+
+def test_verify_matrices_reports_missing_cell(monkeypatch, capsys):
+    _cut_matrices(monkeypatch, lambda m: m["B"][6].pop())
+    assert verify_matrices(3) == ["p=3 B row 111 expected 63 cells, got 64"]
+    assert main(["verify", "--p", "3"]) == 1
+    assert "p=3 B row 111 expected 63 cells" in capsys.readouterr().out

@@ -152,6 +152,17 @@ def test_walsh_hadamard_delta_and_involution(rng):
     assert (walsh_hadamard(delta) == 1).all()
     v = rng.integers(-5, 5, size=16).astype(np.int64)
     assert (walsh_hadamard(walsh_hadamard(v)) == 16 * v).all()
+    # leading axes are a batch: each row is transformed on its own
+    batch = rng.integers(-5, 5, size=(3, 4, 32)).astype(np.int64)
+    rows = np.stack([walsh_hadamard(r) for r in batch.reshape(12, 32)])
+    assert (walsh_hadamard(batch) == rows.reshape(3, 4, 32)).all()
+    # the transform runs in the input's dtype and leaves the input alone
+    small = batch.astype(np.int16)
+    got = walsh_hadamard(small)
+    assert got.dtype == np.int16
+    assert (got.astype(np.int64) == walsh_hadamard(batch)).all()
+    assert (small == batch).all()
+    assert (walsh_hadamard(np.array([7])) == 7).all()
 
 
 def test_negation_masks_match_cells(d16x6):
@@ -166,6 +177,9 @@ def test_dfs_agrees_with_wht(rng):
     for _ in range(3):
         d = build_design(random_generator(rng, 2, 2))
         assert _spectrum_dfs(d, 8) == _spectrum_wht(d, 8)
+    # a run count that is not a multiple of 8 pads the packed columns
+    odd = BinaryDesign(13, 7, rng.choice([-1, 1], size=(13, 7)).astype(np.int8))
+    assert _spectrum_dfs(odd, 7) == _spectrum_wht(odd, 7)
 
 
 def test_scan_budget_refusal():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (MIXED_PARITIES, random_generator,
                       random_precondition_generator)
@@ -14,7 +15,8 @@ from qcode import (FrequencyVector, GeneratorSpec, PreconditionError,
                    frequency_vector, generator_for_frequency,
                    parity_class_sums, periodic_extend, precondition_sums,
                    preconditions_met, search, spectrum_bruteforce,
-                   theory_spectrum)
+                   summarize, theory_spectrum)
+from qcode.theory import _oracle_keys
 
 HALF = Fraction(1, 2)
 
@@ -205,3 +207,43 @@ def test_search_matches_direct_analysis(rng):
 def test_search_rejects_large_p():
     with pytest.raises(ValueError):
         search(2, 4)
+
+
+def test_search_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="n must be positive"):
+        search(0, 3)
+    with pytest.raises(ValueError, match="p in 1..3, got p = 0"):
+        search(2, 0)
+
+
+def _key_from_summary(counts, p, criterion):
+    """Search key of one F through build_design -> spectrum_bruteforce ->
+    summarize, the single-design oracle."""
+    d = build_design(generator_for_frequency(FrequencyVector(p, counts)))
+    summary = summarize(spectrum_bruteforce(d, d.factors), d.factors)
+    if criterion == "gma":
+        assert all((a * d.runs ** 2).denominator == 1 for a in summary.gwlp)
+        return tuple(int(a * d.runs ** 2) for a in summary.gwlp)
+    if summary.resolution is None:
+        return (-(d.factors + 1), 0)
+    rho = summary.max_rho_at_min_length
+    r = int(summary.resolution + rho) - 1
+    return (-r, -(rho.denominator.bit_length() - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_batched_oracle_keys_match_single_design(data):
+    p = data.draw(st.integers(1, 3), label="p")
+    n = data.draw(st.integers(1, 3), label="n")
+    batch = data.draw(st.lists(
+        st.lists(st.integers(0, 4 ** p - 1), min_size=n, max_size=n)
+        .map(sorted), min_size=1, max_size=6), label="rows")
+    rows = np.array(batch, dtype=np.int64)
+    for criterion in ("max_resolution", "gma"):
+        got = _oracle_keys(rows, n, p, criterion)
+        for row, key in zip(batch, got):
+            counts = [0] * 4 ** p
+            for cell in row:
+                counts[cell] += 1
+            assert key == _key_from_summary(tuple(counts), p, criterion)

@@ -167,3 +167,18 @@ def test_design_text_round_trip(rng):
 def test_design_text_rejects_bad_header():
     with pytest.raises(ValueError):
         design_from_text("rows=4 cols=2\n+1,+1\n")
+
+
+@pytest.mark.parametrize("n, p, V", [
+    (1, 1, ((1.0,),)), (1, 1, ((True,),)), (1.0, 1, ((1,),)),
+    (1, True, ((1,),)), (1, 1, (("1",),))])
+def test_generator_rejects_non_int_entries(n, p, V):
+    with pytest.raises(ValueError, match="must be integers"):
+        GeneratorSpec(n, p, V)
+
+
+@pytest.mark.parametrize("p, counts", [
+    (1, (0, 1.0, 0, 0)), (1, (0, True, 0, 0)), (1.0, (0, 1, 0, 0))])
+def test_frequency_vector_rejects_non_int_entries(p, counts):
+    with pytest.raises(ValueError, match="must be integers"):
+        FrequencyVector(p, counts)
