@@ -15,13 +15,19 @@ import numpy as np
 
 from .z4 import BinaryDesign, BudgetExceeded
 
-__all__ = ["BudgetExceeded", "CELL_READ_BUDGET", "WordSpectrum",
+__all__ = ["BudgetExceeded", "SCAN_STEP_BUDGET", "WordSpectrum",
            "DesignSummary", "j_characteristic", "aliasing_index",
            "spectrum_bruteforce", "summarize", "scan_cost",
            "duplicated_column_pairs", "negation_masks", "walsh_hadamard"]
 
-#: refuse scans costing more than this many cell reads unless forced
-CELL_READ_BUDGET = 10 ** 10
+#: refuse subset scans costing more than this many limb steps unless
+#: forced; a step is one XOR and popcount of a 64-run limb, about 11 ns
+#: on a 2-core x86 machine, so the budget is about a minute of scanning
+SCAN_STEP_BUDGET = 5 * 10 ** 9
+
+#: fixed cost of visiting one subset in the scan, in limb steps (about
+#: 500 ns of interpreter work per subset, whatever the run count)
+_SUBSET_VISIT_STEPS = 45
 
 #: largest factor count handled by the full Walsh-Hadamard transform
 _WHT_MAX_FACTORS = 24
@@ -111,7 +117,10 @@ def summarize(spectrum: WordSpectrum, factors: int,
 
 
 def scan_cost(factors: int, runs: int, max_len: int) -> int:
-    return sum(comb(factors, k) for k in range(3, max_len + 1)) * runs
+    """Limb steps of the subset scan: it visits every subset of 1..max_len
+    columns, each for a fixed step plus one step per 64-run limb."""
+    subsets = sum(comb(factors, k) for k in range(1, max_len + 1))
+    return subsets * (_SUBSET_VISIT_STEPS + -(-runs // 64))
 
 
 def _popcount(a: np.ndarray) -> np.ndarray:
@@ -220,10 +229,10 @@ def spectrum_bruteforce(d: BinaryDesign, max_len: int,
     if d.factors <= _WHT_MAX_FACTORS:
         return _spectrum_wht(d, max_len)
     cost = scan_cost(d.factors, d.runs, max_len)
-    if cost > CELL_READ_BUDGET and not force:
+    if cost > SCAN_STEP_BUDGET and not force:
         raise BudgetExceeded(
-            f"subset scan needs about {cost:.2e} cell reads "
-            f"(budget {CELL_READ_BUDGET:.0e}); pass force to run anyway")
+            f"subset scan needs about {cost:.2e} limb steps "
+            f"(budget {SCAN_STEP_BUDGET:.0e}); pass force to run anyway")
     return _spectrum_dfs(d, max_len)
 
 

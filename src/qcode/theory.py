@@ -8,6 +8,7 @@ scan in `jchar`; `analyze(method="both")` does exactly that.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +43,19 @@ _PRECONDITION_PARITIES = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 _PRECONDITION_MASK = np.array(
     [[tuple(x % 2 for x in pat) == pi for pat in cells(3)]
      for pi in _PRECONDITION_PARITIES], dtype=np.int64)
+
+#: the p = 3 closed form's tables, built once for analyze and search
+_SYSTEM3 = build_system(3)
+_C3 = np.array(_SYSTEM3.c_matrix(), dtype=np.int64)
+_B3 = np.array(_SYSTEM3.b_matrix(), dtype=np.int64)
+_CONSTANTS3 = np.array(_SYSTEM3.constants, dtype=np.int64)
+#: odd positions q per parity class, aligned with A_order
+_Q3 = np.array([sum(pi) for pi in _SYSTEM3.a_order], dtype=np.int64)
+#: parity class of each canonical wordtype (-1 when fully even)
+_CLASS3 = np.array([_SYSTEM3.a_order.index(tuple(x % 2 for x in w))
+                    if any(x % 2 for x in w) else -1
+                    for w in _SYSTEM3.k_order])
+_ODD3 = _CLASS3 >= 0
 
 
 @dataclass(frozen=True)
@@ -115,20 +129,22 @@ def _require_preconditions(f: FrequencyVector) -> None:
             "brute-force oracle (method 'bruteforce')")
 
 
+def _lengths_exponents(k: np.ndarray, a: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form word length and aliasing exponent per canonical p = 3
+    wordtype, for K of shape (..., 35) and A of shape (..., 7).  A fully
+    even wordtype gets e = 0, since its rho is 1."""
+    e = aliasing_exponent(_Q3, a)
+    return _CONSTANTS3 + k, np.where(_ODD3, np.take(e, _CLASS3, axis=-1), 0)
+
+
 def _spectrum(ev: TheoryEvaluation) -> WordSpectrum:
-    sysm = build_system(3)
-    sums = dict(zip(sysm.a_order, ev.a_values))
+    lengths, exps = _lengths_exponents(ev.k_values, ev.a_values)
     agg: dict[tuple[int, Fraction], int] = {}
-    for w, k, const in zip(sysm.k_order, ev.k_values, sysm.constants):
-        length = k + const
-        parity = tuple(x % 2 for x in w)
-        if any(parity):
-            e = aliasing_exponent(sum(parity), sums[parity])
-            key = (length, Fraction(1, 2 ** e))
-            agg[key] = agg.get(key, 0) + 2 * 4 ** e
-        else:
-            key = (length, Fraction(1))
-            agg[key] = agg.get(key, 0) + 1
+    for length, e, odd in zip(lengths.tolist(), exps.tolist(),
+                              _ODD3.tolist()):
+        key = (length, Fraction(1, 2 ** e))
+        agg[key] = agg.get(key, 0) + (2 * 4 ** e if odd else 1)
     return WordSpectrum(tuple((l, r, c) for (l, r), c in agg.items()))
 
 
@@ -138,8 +154,8 @@ def class_rhos(f: FrequencyVector) -> tuple[Fraction, ...]:
 
 
 def _class_rhos(ev: TheoryEvaluation) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1, 2 ** aliasing_exponent(sum(pi), a))
-                 for pi, a in zip(build_system(3).a_order, ev.a_values))
+    return tuple(Fraction(1, 2 ** e)
+                 for e in aliasing_exponent(_Q3, ev.a_values).tolist())
 
 
 @dataclass(frozen=True)
@@ -281,9 +297,11 @@ def search(n: int, p: int, criterion: str = "max_resolution",
 
     Candidates are scored by generalized resolution (maximize) or by
     the GWLP vector (minimize lexicographically); exact ties fall back
-    to the frequency-vector encoding, ascending.  Scoring runs through
-    the closed form whenever it applies and through a vectorized
-    Walsh-Hadamard scan otherwise, so rankings are exact either way.
+    to the frequency-vector encoding, ascending.  Each candidate goes
+    through the closed form whenever it applies and through a batched
+    Walsh-Hadamard scan otherwise; both routes produce the same per-size
+    profile, and one key builder turns it into the exact ranking key.
+    The ranking streams: only the best `top` candidates are kept.
     """
     if criterion not in ("max_resolution", "gma"):
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -298,27 +316,17 @@ def search(n: int, p: int, criterion: str = "max_resolution",
         raise BudgetExceeded(
             f"{total} candidate frequency vectors exceed the budget "
             f"{CANDIDATE_BUDGET:.0e}; pass force to enumerate anyway")
-    ncells = 4 ** p
-    sysm = build_system(p)
 
     rows_all = np.fromiter(
         (x for combo in itertools.combinations_with_replacement(
-            range(1, ncells), n) for x in combo),
+            range(1, 4 ** p), n) for x in combo),
         dtype=np.int64, count=total * n).reshape(total, n)
-
-    keyed: list[tuple[tuple, tuple[int, ...]]] = []
-    for lo in range(0, total, 4096):
-        rows = rows_all[lo:lo + 4096]
-        fmat = np.zeros((rows.shape[0], ncells), dtype=np.int64)
-        np.add.at(fmat, (np.arange(rows.shape[0])[:, None], rows), 1)
-        keyed.extend(_score_batch(fmat, rows, n, p, sysm, criterion))
-
-    keyed.sort()
-    out = []
-    for _, counts in keyed[:top]:
-        f = FrequencyVector(p, counts)
-        out.append((f, _report_for_frequency(f)))
-    return out
+    keyed = (cand for lo in range(0, total, 4096)
+             for cand in _score_batch(rows_all[lo:lo + 4096], n, p,
+                                      criterion))
+    best = (FrequencyVector(p, counts)
+            for _, counts in heapq.nsmallest(top, keyed))
+    return [(f, _report_for_frequency(f)) for f in best]
 
 
 def _report_for_frequency(f: FrequencyVector) -> TheoryReport:
@@ -328,64 +336,54 @@ def _report_for_frequency(f: FrequencyVector) -> TheoryReport:
     return analyze(g, method="bruteforce", force=True)
 
 
-def _score_batch(fmat: np.ndarray, rows: np.ndarray, n: int, p: int,
-                 sysm: EquationSystem, criterion: str
+def _score_batch(rows: np.ndarray, n: int, p: int, criterion: str
                  ) -> list[tuple[tuple, tuple[int, ...]]]:
-    """Exact minimize-oriented ranking key per candidate.
-
-    max_resolution keys are (-r, -e) so that deeper resolution sorts
-    first; gma keys are the GWLP vector scaled by runs^2, an integer
-    tuple compared ascending.
-    """
-    nb = fmat.shape[0]
-    runs = 4 ** n
-    use_theory = ((fmat @ _PRECONDITION_MASK.T > 0).all(axis=1) if p == 3
-                  else np.zeros(nb, dtype=bool))
-
-    keys: list[tuple | None] = [None] * nb
-    if use_theory.any():
-        k = fmat @ np.asarray(sysm.c_matrix(), dtype=np.int64).T
-        a = fmat @ np.asarray(sysm.b_matrix(), dtype=np.int64).T
-        consts = np.asarray(sysm.constants, dtype=np.int64)
-        qs = np.array([sum(pi) for pi in sysm.a_order])
-        cls = np.array([sysm.a_order.index(tuple(x % 2 for x in w))
-                        if any(x % 2 for x in w) else -1
-                        for w in sysm.k_order])
-        odd = cls >= 0
-        idx = np.nonzero(use_theory)[0]
-        lengths = k[idx] + consts
-        e_cls = (qs - 1 + a[idx]) // 2
-        e_slot = np.zeros_like(lengths)
-        e_slot[:, odd] = e_cls[:, cls[odd]]
-        for row, bi in enumerate(idx):
-            keys[bi] = _theory_key(lengths[row], e_slot[row], odd,
-                                   2 * n + 2 * p, runs, criterion)
-    rest = np.nonzero(~use_theory)[0]
+    """(key, F) per candidate of a batch of sorted cell-index rows."""
+    nb = len(rows)
+    fmat = np.zeros((nb, 4 ** p), dtype=np.int64)
+    np.add.at(fmat, (np.arange(nb)[:, None], rows), 1)
+    prof = np.empty((nb, 2 * n + 2 * p - 2), dtype=np.int64)
+    rest = np.arange(nb)
+    if p == 3:
+        ok = (fmat @ _PRECONDITION_MASK.T > 0).all(axis=1)
+        prof[ok] = _closed_form_profiles(fmat[ok], n, criterion)
+        rest = np.flatnonzero(~ok)
     for lo in range(0, rest.size, 1024):
         sub = rest[lo:lo + 1024]
-        for bi, key in zip(sub, _oracle_keys(rows[sub], n, p, criterion)):
-            keys[bi] = key
-    return [(keys[i], tuple(int(x) for x in fmat[i])) for i in range(nb)]
+        prof[sub] = _oracle_profiles(rows[sub], p, criterion)
+    return list(zip(_keys(prof, n, p, criterion),
+                    map(tuple, fmat.tolist())))
 
 
-def _theory_key(lengths, exponents, odd, factors, runs, criterion):
-    if criterion == "max_resolution":
-        r = int(lengths.min())
-        e = int(exponents[lengths == r].min())
-        return (-r, -e)
-    acc = [0] * (factors + 1)
-    r2 = runs * runs
-    for length, is_odd in zip(lengths.tolist(), odd.tolist()):
-        acc[length] += 2 * r2 if is_odd else r2  # count * rho^2 * runs^2
-    return tuple(acc[3:])
+def _closed_form_profiles(fmat: np.ndarray, n: int, criterion: str
+                          ) -> np.ndarray:
+    """The per-size profile of `jchar._size_profiles`, from the p = 3
+    closed form of each F of a (batch, 64) stack: an odd wordtype is
+    2 * 4^e words of |j| = runs >> e, an even one a complete word."""
+    lengths, e = _lengths_exponents(fmat @ _C3.T, fmat @ _B3.T)
+    runs = 4 ** n
+    prof = np.zeros((len(fmat), 2 * n + 4), dtype=np.int64)
+    at = (np.arange(len(fmat))[:, None], lengths - 3)
+    if criterion == "gma":
+        np.add.at(prof, at, np.where(_ODD3, 2 * runs * runs, runs * runs))
+    else:
+        np.maximum.at(prof, at, runs >> e)
+    return prof
 
 
-def _oracle_keys(rows: np.ndarray, n: int, p: int, criterion: str) -> list:
-    """Exact keys from the batched oracle: the Gray image of each
-    candidate's code, through `jchar`'s masks and transform."""
+def _oracle_profiles(rows: np.ndarray, p: int, criterion: str
+                     ) -> np.ndarray:
+    """The per-size profile of each candidate from the batched oracle:
+    the Gray image of its code, through `jchar`'s masks and transform."""
     V = (rows[:, :, None] >> (2 * np.arange(p - 1, -1, -1))) & 3
-    prof = _size_profiles(_gray_cells(_codewords(V)),
+    return _size_profiles(_gray_cells(_codewords(V)),
                           squared=criterion == "gma")
+
+
+def _keys(prof: np.ndarray, n: int, p: int, criterion: str) -> list:
+    """Exact minimize-oriented ranking key per row of a per-size profile:
+    (-r, -e) for max_resolution, so that deeper resolution sorts first,
+    or for gma the GWLP vector scaled by runs^2, compared ascending."""
     if criterion == "gma":
         return [tuple(key) for key in prof.tolist()]
     found = prof > 0
@@ -395,4 +393,4 @@ def _oracle_keys(rows: np.ndarray, n: int, p: int, criterion: str) -> list:
     # rho = top / runs = 2^-e, and log2(top) is the popcount of top - 1
     e = np.where(worded, 2 * n - _popcount(top - 1).astype(np.int64), 0)
     r = np.where(worded, size + 3, 2 * n + 2 * p + 1)
-    return [(-rr, -ee) for rr, ee in zip(r.tolist(), e.tolist())]
+    return list(zip((-r).tolist(), (-e).tolist()))

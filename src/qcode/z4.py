@@ -189,11 +189,13 @@ def design_from_text(text: str) -> BinaryDesign:
         factors = int(header[1].split("=")[1])
     except (IndexError, ValueError):
         raise ValueError(f"bad design header: {lines[0]!r}")
+    # parse wide and narrow to int8 only once every cell is +-1
     cells = np.array([[int(v) for v in line.split(",")] for line in lines[1:]],
-                     dtype=np.int8)
+                     dtype=object)
     if cells.shape != (runs, factors):
         raise ValueError(f"design body {cells.shape} does not match header "
                          f"({runs}, {factors})")
     if not np.all(np.abs(cells) == 1):
         raise ValueError("design entries must be +1 or -1")
-    return BinaryDesign(runs=runs, factors=factors, cells=cells)
+    return BinaryDesign(runs=runs, factors=factors,
+                        cells=cells.astype(np.int8))

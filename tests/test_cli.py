@@ -161,6 +161,16 @@ def test_exit_2_on_bad_frequency(tmp_path, capsys):
     assert code == 2 and "power of 4" in err
 
 
+def test_exit_2_on_out_of_range_design_cell(tmp_path, capsys):
+    # 99999 does not fit the int8 cells; it must be refused as input
+    big = tmp_path / "big.txt"
+    big.write_text("runs=1 factors=3\n1,99999,-1\n")
+    code, _, err = run(capsys, "analyze", "--input", big,
+                       "--method", "bruteforce")
+    assert code == 2
+    assert err.count("\n") == 1 and "+1 or -1" in err
+
+
 def test_exit_3_on_search_budget(capsys):
     code, _, err = run(capsys, "search", "--n", 9, "--p", 3)
     assert code == 3 and "budget" in err
@@ -201,8 +211,8 @@ def test_exit_2_on_bad_search_argument(capsys, flag, value):
 
 
 def test_bruteforce_wide_generator_needs_no_force(tmp_path, capsys):
-    # 20 factors: the WHT route runs in well under a second, so the
-    # subset-scan budget (which it would exceed) does not apply to it
+    # 20 factors: the WHT route runs in well under a second, and the
+    # subset-scan budget does not apply to it
     gen = tmp_path / "gen.json"
     V = [[1, 0, 1], [0, 1, 1], [1, 1, 0], [1, 2, 3], [2, 1, 1], [3, 3, 1],
          [1, 3, 2]]

@@ -1,9 +1,11 @@
 """Byte-for-byte CLI output: sha256 digests of stdout for a fixed corpus.
 
 The digests were recorded before the search oracle was folded into
-`jchar` and `analyze` moved to one evaluation; any refactor that keeps
-the outputs keeps them.  To re-record after an intended output change,
-run `python tests/test_cli_corpus.py` and paste what it prints.
+`jchar` and `analyze` moved to one evaluation, and the two
+`search --n 3 --p 3` ones, whose candidates take both scoring routes,
+before those routes were merged into one scorer; any refactor that
+keeps the outputs keeps them.  To re-record after an intended output
+change, run `python tests/test_cli_corpus.py` and paste what it prints.
 """
 
 import contextlib
@@ -25,7 +27,8 @@ CORPUS = (
       for m in ("theory", "bruteforce", "both")),
     ("construct", "--input", "{gen}"),
     *(("search", "--n", n, "--p", p, "--criterion", c, "--top", 3)
-      for n, p in ((2, 3), (3, 2)) for c in ("max_resolution", "gma")),
+      for n, p in ((2, 3), (3, 2), (3, 3))
+      for c in ("max_resolution", "gma")),
     ("verify",),
     ("extend", "--input", "{freq}", "--t", 1),
 )
@@ -59,6 +62,10 @@ DIGESTS = {
         "ea648bf01109a645d86d9c9bd4539e0ae7727bbbbacbc2d0e386e171ae5eb348",
     "search --n 3 --p 2 --criterion gma --top 3":
         "ea648bf01109a645d86d9c9bd4539e0ae7727bbbbacbc2d0e386e171ae5eb348",
+    "search --n 3 --p 3 --criterion max_resolution --top 3":
+        "30dc3ca2f3b24becd0521631439a1b2de206c5e19d80672319464c2e4eb85ac5",
+    "search --n 3 --p 3 --criterion gma --top 3":
+        "48426862201efd80151504dc0bd08da34180b64103c0b4404aa8ef4a1967ea5c",
     "verify":
         "14cfc77d27ba3afbadc35fb6fa614f522c7806558e7b068ee612f8caa14ab18c",
     "extend --input {freq} --t 1":

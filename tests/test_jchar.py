@@ -17,6 +17,7 @@ from qcode import (BinaryDesign, BudgetExceeded, GeneratorSpec,
                    WordSpectrum, aliasing_index, build_design,
                    duplicated_column_pairs, j_characteristic,
                    spectrum_bruteforce, summarize)
+from qcode import jchar
 from qcode.jchar import (_spectrum_dfs, _spectrum_wht, negation_masks,
                          scan_cost, walsh_hadamard)
 
@@ -189,3 +190,15 @@ def test_scan_budget_refusal():
         spectrum_bruteforce(wide, 34)
     # a shallow scan of the same design stays under the guard
     spectrum_bruteforce(wide, 3)
+
+
+def test_scan_budget_prices_each_visited_subset(monkeypatch):
+    # one run costs almost nothing per subset in cells, but the scan
+    # would still visit 2^33 subsets at a fixed cost each
+    def walk(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(jchar, "_spectrum_dfs", walk)
+    tiny = BinaryDesign(1, 33, np.ones((1, 33), dtype=np.int8))
+    with pytest.raises(BudgetExceeded):
+        spectrum_bruteforce(tiny, 33)

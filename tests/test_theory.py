@@ -16,7 +16,9 @@ from qcode import (FrequencyVector, GeneratorSpec, PreconditionError,
                    parity_class_sums, periodic_extend, precondition_sums,
                    preconditions_met, search, spectrum_bruteforce,
                    summarize, theory_spectrum)
-from qcode.theory import _oracle_keys
+from qcode.equations import cells
+from qcode.theory import (_closed_form_profiles, _keys,
+                          _oracle_profiles)
 
 HALF = Fraction(1, 2)
 
@@ -231,19 +233,36 @@ def _key_from_summary(counts, p, criterion):
     return (-r, -(rho.denominator.bit_length() - 1))
 
 
+#: p = 3 cell indexes of each mixed parity class
+_MIXED_CELLS = [[i for i, c in enumerate(cells(3))
+                 if tuple(x % 2 for x in c) == pi] for pi in MIXED_PARITIES]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_batched_oracle_keys_match_single_design(data):
-    p = data.draw(st.integers(1, 3), label="p")
-    n = data.draw(st.integers(1, 3), label="n")
-    batch = data.draw(st.lists(
-        st.lists(st.integers(0, 4 ** p - 1), min_size=n, max_size=n)
-        .map(sorted), min_size=1, max_size=6), label="rows")
+    """Both search routes' profiles, through `_keys`, against the
+    single-design oracle; closed-form draws put mass on every mixed
+    parity class, so both routes apply to them."""
+    closed = data.draw(st.booleans(), label="closed form")
+    if closed:
+        p, n = 3, data.draw(st.integers(3, 4), label="n")
+        row = st.tuples(*map(st.sampled_from, _MIXED_CELLS),
+                        *[st.integers(0, 63)] * (n - 3))
+    else:
+        p = data.draw(st.integers(1, 3), label="p")
+        n = data.draw(st.integers(1, 3), label="n")
+        row = st.lists(st.integers(0, 4 ** p - 1), min_size=n, max_size=n)
+    batch = data.draw(st.lists(row.map(sorted), min_size=1, max_size=6),
+                      label="rows")
     rows = np.array(batch, dtype=np.int64)
+    fmat = np.zeros((len(batch), 4 ** p), dtype=np.int64)
+    np.add.at(fmat, (np.arange(len(batch))[:, None], rows), 1)
     for criterion in ("max_resolution", "gma"):
-        got = _oracle_keys(rows, n, p, criterion)
-        for row, key in zip(batch, got):
-            counts = [0] * 4 ** p
-            for cell in row:
-                counts[cell] += 1
-            assert key == _key_from_summary(tuple(counts), p, criterion)
+        want = [_key_from_summary(tuple(f), p, criterion)
+                for f in fmat.tolist()]
+        profiles = [_oracle_profiles(rows, p, criterion)]
+        if closed:
+            profiles.append(_closed_form_profiles(fmat, n, criterion))
+        for prof in profiles:
+            assert _keys(prof, n, p, criterion) == want
