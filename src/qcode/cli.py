@@ -4,7 +4,8 @@ Subcommands wrap one library call each and exchange the documented
 file formats: generator JSON, design text, frequency-vector JSON
 arrays, and JSON reports with rationals rendered as "num/den" strings.
 Exit codes: 0 success, 1 verification mismatch, 2 input error,
-3 resource-guard refusal.
+3 resource-guard refusal, 4 internal error (a fault in qcode itself,
+reported as one line naming the exception).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(args, text: str) -> None:
@@ -281,6 +283,10 @@ def main(argv=None) -> int:
     except (PreconditionError, ValueError, OSError) as exc:
         print(f"{name}: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # no input can cause these: a fault in qcode
+        print(f"{name}: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

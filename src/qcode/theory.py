@@ -8,6 +8,7 @@ scan in `jchar`; `analyze(method="both")` does exactly that.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -16,15 +17,25 @@ from math import comb
 
 import numpy as np
 
-from .equations import EquationSystem, build_system, cells
+from .equations import MAX_P, EquationSystem, build_system, cells
 from .jchar import (BudgetExceeded, DesignSummary, WordSpectrum,
                     _popcount, _size_profiles, spectrum_bruteforce,
                     summarize)
 from .z4 import (FrequencyVector, GeneratorSpec, _codewords, _gray_cells,
                  build_design, frequency_vector, generator_for_frequency)
 
-#: refuse searches over more candidate frequency vectors than this
-CANDIDATE_BUDGET = 10 ** 8
+#: refuse searches priced above this much work: one oracle transform of
+#: 2^factors cells per multiset of pair classes, before any folding by
+#: the column group (search(5, 3) prices at 3.8e10 and ranks in minutes)
+WORK_BUDGET = 10 ** 11
+
+#: multisets of pair classes canonicalized per numpy step
+_ENUM_CHUNK = 8192
+
+#: transform cells per batch of representatives handed to the scorer, so
+#: the oracle's buffers stay bounded as designs widen (at n = 5, p = 3 a
+#: batch of 1024 designs would hold three 128 MiB transform buffers)
+_BATCH_CELLS = 2 ** 24
 
 
 class PreconditionError(ValueError):
@@ -44,10 +55,18 @@ _PRECONDITION_MASK = np.array(
     [[tuple(x % 2 for x in pat) == pi for pat in cells(3)]
      for pi in _PRECONDITION_PARITIES], dtype=np.int64)
 
+
+@functools.cache
+def _system_arrays(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """C and B of `build_system(p)` as int64 arrays, built once per p."""
+    sysm = build_system(p)
+    return (np.array(sysm.c_matrix(), dtype=np.int64),
+            np.array(sysm.b_matrix(), dtype=np.int64))
+
+
 #: the p = 3 closed form's tables, built once for analyze and search
 _SYSTEM3 = build_system(3)
-_C3 = np.array(_SYSTEM3.c_matrix(), dtype=np.int64)
-_B3 = np.array(_SYSTEM3.b_matrix(), dtype=np.int64)
+_C3, _B3 = _system_arrays(3)
 _CONSTANTS3 = np.array(_SYSTEM3.constants, dtype=np.int64)
 #: odd positions q per parity class, aligned with A_order
 _Q3 = np.array([sum(pi) for pi in _SYSTEM3.a_order], dtype=np.int64)
@@ -72,9 +91,9 @@ def evaluate(f: FrequencyVector, system: EquationSystem | None = None
     sysm = system or build_system(f.p)
     if sysm.p != f.p:
         raise ValueError(f"system is for p={sysm.p}, vector for p={f.p}")
+    c, b = _system_arrays(sysm.p)
     fv = np.asarray(f.counts, dtype=np.int64)
-    k = np.asarray(sysm.c_matrix(), dtype=np.int64) @ fv
-    a = np.asarray(sysm.b_matrix(), dtype=np.int64) @ fv
+    k, a = c @ fv, b @ fv
     return TheoryEvaluation(f.p, tuple(int(x) for x in k),
                             tuple(int(x) for x in a))
 
@@ -185,8 +204,9 @@ def analyze(g: GeneratorSpec, method: str = "theory",
     method 'theory' uses the closed form (p = 3; smaller p falls back
     to the exact scan, which is cheap there), 'bruteforce' scans column
     subsets, 'both' runs the two and insists they agree.  The report
-    always carries K/A values and whether the closed form applies;
-    nothing falls back silently.
+    carries K/A values (empty above p = MAX_P, where no equation system
+    is built) and whether the closed form applies; nothing falls back
+    silently.
     """
     factors = 2 * g.n + 2 * g.p
     max_len = factors if max_length is None else max_length
@@ -199,7 +219,7 @@ def analyze(g: GeneratorSpec, method: str = "theory",
             f"no closed form for p = {g.p}; use method 'bruteforce'")
 
     f = frequency_vector(g)
-    ev = evaluate(f)
+    ev = evaluate(f) if g.p <= MAX_P else TheoryEvaluation(g.p, (), ())
     ok = preconditions_met(f) if g.p == 3 else g.p < 3
     rhos = _class_rhos(ev) if g.p == 3 and ok else ()
 
@@ -290,6 +310,118 @@ def candidate_count(n: int, p: int) -> int:
     return comb(n + 4 ** p - 2, 4 ** p - 2)
 
 
+@functools.cache
+def _pair_classes(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pair classes {c, -c} of the nonzero cells and the column group's
+    action on them.
+
+    Returns the low and high cell of each class (equal for a self-paired,
+    all-even cell), classes ordered by low cell, and a (p! * 2^p, classes)
+    table: row g holds the class to which column operation g, a
+    permutation of V's columns followed by negation of some of them,
+    sends each class.  Both symmetries leave the spectrum unchanged:
+    negating a row of V swaps one Gray column pair, and so does negating a
+    column, while permuting columns permutes the pairs.
+    """
+    width = 4 ** np.arange(p - 1, -1, -1)
+    digits = (np.arange(4 ** p)[:, None] // width) % 4
+    neg = (-digits % 4) @ width
+    low = np.array([c for c in range(1, 4 ** p) if c <= neg[c]])
+    cls = np.empty(4 ** p, dtype=np.intp)
+    cls[low] = cls[neg[low]] = np.arange(len(low))
+    perms = np.array(list(itertools.permutations(range(p))))
+    signs = np.array(list(itertools.product((1, 3), repeat=p)))
+    moved = digits[low][:, perms][:, :, None] * signs % 4 @ width
+    action = cls[moved.reshape(len(low), -1).T]
+    return low, neg[low], action.astype(np.min_scalar_type(len(low)))
+
+
+def search_work(n: int, p: int) -> int:
+    """The work `search` is priced at: the multisets of n pair classes,
+    each scored by a transform of 2^(2n + 2p) cells."""
+    classes = len(_pair_classes(p)[0])
+    return comb(n + classes - 1, n) * 2 ** (2 * n + 2 * p)
+
+
+def _orbit_representatives(n: int, p: int):
+    """Chunks of (classes, members): each multiset of n pair classes, as
+    a sorted row of class indexes, that is the lexicographic least of its
+    orbit under the column group, and how many frequency vectors (f_0 = 0,
+    summing to n) that orbit holds once rows may also be negated."""
+    low, high, action = _pair_classes(p)
+    multisets = itertools.combinations_with_replacement(range(len(low)), n)
+    while True:
+        rows = np.fromiter(
+            itertools.chain.from_iterable(
+                itertools.islice(multisets, _ENUM_CHUNK)),
+            dtype=action.dtype).reshape(-1, n)
+        if not rows.size:
+            return
+        # per operation and row: the first nonzero entry of image - row,
+        # or 0 when the operation fixes the row
+        diff = np.sort(action[:, rows], axis=-1).astype(np.int16) - rows
+        first = np.take_along_axis(
+            diff, (diff != 0).argmax(axis=-1)[..., None], axis=-1)[..., 0]
+        least = (first >= 0).all(axis=0)
+        fixed = (first[:, least] == 0).sum(axis=0)
+        mass = np.zeros((least.sum(), len(low)), dtype=np.int64)
+        np.add.at(mass, (np.arange(len(mass))[:, None], rows[least]), 1)
+        fibre = np.where(low != high, mass + 1, 1).prod(axis=1)
+        yield rows[least], len(action) // fixed * fibre
+
+
+def _ranked_orbits(n: int, p: int, criterion: str
+                   ) -> list[tuple[tuple, tuple[int, ...], int]]:
+    """(key, classes, members) per orbit, in key order; every member of an
+    orbit shares the key of its representative, whose rows are the low
+    cells of its classes."""
+    low = _pair_classes(p)[0]
+    step = max(1, _BATCH_CELLS >> (2 * n + 2 * p))
+    ranked = []
+    for reps, members in _orbit_representatives(n, p):
+        for lo in range(0, len(reps), step):
+            part = reps[lo:lo + step]
+            scored = _score_batch(low[part], n, p, criterion)
+            ranked += zip((key for key, _ in scored),
+                          map(tuple, part.tolist()),
+                          members[lo:lo + step].tolist())
+    ranked.sort(key=lambda orbit: orbit[0])
+    return ranked
+
+
+def _orbit_frequencies(classes: tuple[int, ...], p: int,
+                       limit: int | None = None) -> list[tuple[int, ...]]:
+    """Every frequency vector in the orbit of a multiset of pair classes,
+    F ascending, or only the first `limit` of them."""
+    low, high, action = _pair_classes(p)
+    n = len(classes)
+    images = np.unique(np.sort(action[:, classes], axis=1), axis=0)
+    # each row of an image takes the low or the high cell of its class
+    high_cell = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1 == 1
+    rows = np.where(high_cell, high[images][:, None], low[images][:, None])
+    rows = np.unique(np.sort(rows.reshape(-1, n), axis=1), axis=0)
+    fmat = np.zeros((len(rows), 4 ** p), dtype=np.int64)
+    np.add.at(fmat, (np.arange(len(rows))[:, None], rows), 1)
+    return list(map(tuple, fmat[np.lexsort(fmat.T[::-1])][:limit].tolist()))
+
+
+def _best_frequencies(n: int, p: int, criterion: str, top: int
+                      ) -> list[FrequencyVector]:
+    """The `top` least (key, F): whole orbits are taken in key order until
+    they hold `top` members, with every orbit tied with the last one, and
+    only those are expanded into frequency vectors."""
+    held, chosen = 0, []
+    for key, classes, members in _ranked_orbits(n, p, criterion):
+        if held >= top and key != chosen[-1][0]:
+            break
+        chosen.append((key, classes))
+        held += members
+    keyed = ((key, counts) for key, classes in chosen
+             for counts in _orbit_frequencies(classes, p, top))
+    return [FrequencyVector(p, counts)
+            for _, counts in heapq.nsmallest(top, keyed)]
+
+
 def search(n: int, p: int, criterion: str = "max_resolution",
            top: int = 1, force: bool = False
            ) -> list[tuple[FrequencyVector, TheoryReport]]:
@@ -297,11 +429,21 @@ def search(n: int, p: int, criterion: str = "max_resolution",
 
     Candidates are scored by generalized resolution (maximize) or by
     the GWLP vector (minimize lexicographically); exact ties fall back
-    to the frequency-vector encoding, ascending.  Each candidate goes
-    through the closed form whenever it applies and through a batched
-    Walsh-Hadamard scan otherwise; both routes produce the same per-size
-    profile, and one key builder turns it into the exact ranking key.
-    The ranking streams: only the best `top` candidates are kept.
+    to the frequency-vector encoding, ascending.  The spectrum depends
+    only on the mass on each pair of cells {c, -c}, and is kept by every
+    permutation and negation of V's columns, so candidates are scored
+    one orbit at a time: one representative per orbit of the multisets
+    of pair classes under the column group (758 orbits for the 43,680
+    candidates of search(3, 3), 5,694 for the 720,720 of search(4, 3)).
+    Each representative goes through the closed form whenever it applies
+    and through a batched Walsh-Hadamard scan otherwise; both routes
+    produce the same per-size profile, and one key builder turns it into
+    the exact ranking key.  Only the orbits that reach the top `top` are
+    expanded into frequency vectors.
+
+    The work is priced before any scoring (`search_work`: pair-class
+    multisets times 2^factors transform cells) and refused above
+    `WORK_BUDGET` unless forced; search(5, 3) is within it.
     """
     if criterion not in ("max_resolution", "gma"):
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -311,22 +453,14 @@ def search(n: int, p: int, criterion: str = "max_resolution",
         raise ValueError(f"n must be positive, got n = {n}")
     if not 1 <= p <= 3:
         raise ValueError(f"search covers p in 1..3, got p = {p}")
-    total = candidate_count(n, p)
-    if total > CANDIDATE_BUDGET and not force:
+    work = search_work(n, p)
+    if work > WORK_BUDGET and not force:
         raise BudgetExceeded(
-            f"{total} candidate frequency vectors exceed the budget "
-            f"{CANDIDATE_BUDGET:.0e}; pass force to enumerate anyway")
-
-    rows_all = np.fromiter(
-        (x for combo in itertools.combinations_with_replacement(
-            range(1, 4 ** p), n) for x in combo),
-        dtype=np.int64, count=total * n).reshape(total, n)
-    keyed = (cand for lo in range(0, total, 4096)
-             for cand in _score_batch(rows_all[lo:lo + 4096], n, p,
-                                      criterion))
-    best = (FrequencyVector(p, counts)
-            for _, counts in heapq.nsmallest(top, keyed))
-    return [(f, _report_for_frequency(f)) for f in best]
+            f"search over n = {n}, p = {p} is priced at {work:.2e} "
+            f"transform cells, over the budget {WORK_BUDGET:.0e}; pass "
+            "force to run anyway")
+    return [(f, _report_for_frequency(f))
+            for f in _best_frequencies(n, p, criterion, top)]
 
 
 def _report_for_frequency(f: FrequencyVector) -> TheoryReport:

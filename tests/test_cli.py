@@ -221,3 +221,19 @@ def test_bruteforce_wide_generator_needs_no_force(tmp_path, capsys):
                        "--method", "bruteforce")
     assert code == 0
     assert json.loads(out)["factors"] == 20
+
+
+def test_exit_4_on_internal_error(monkeypatch, capsys):
+    # a fault in qcode itself is neither a mismatch nor an input error
+    import qcode.cli as cli
+
+    def broken(args):
+        raise RuntimeError("scorer lost its place")
+
+    monkeypatch.setattr(cli, "cmd_search", broken)
+    code, out, err = run(capsys, "search", "--n", 1, "--p", 1)
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == ("search: internal error: RuntimeError: scorer lost its "
+                   "place\n")
+    assert "Traceback" not in err

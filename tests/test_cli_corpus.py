@@ -3,9 +3,12 @@
 The digests were recorded before the search oracle was folded into
 `jchar` and `analyze` moved to one evaluation, and the two
 `search --n 3 --p 3` ones, whose candidates take both scoring routes,
-before those routes were merged into one scorer; any refactor that
-keeps the outputs keeps them.  To re-record after an intended output
-change, run `python tests/test_cli_corpus.py` and paste what it prints.
+before those routes were merged into one scorer.  The two
+`search --n 4 --p 3` ones were recorded with the per-candidate search,
+before it scored one representative per symmetry orbit (about five
+minutes each then).  Any refactor that keeps the outputs keeps them.
+To re-record after an intended output change, run
+`python tests/test_cli_corpus.py` and paste what it prints.
 """
 
 import contextlib
@@ -27,7 +30,7 @@ CORPUS = (
       for m in ("theory", "bruteforce", "both")),
     ("construct", "--input", "{gen}"),
     *(("search", "--n", n, "--p", p, "--criterion", c, "--top", 3)
-      for n, p in ((2, 3), (3, 2), (3, 3))
+      for n, p in ((2, 3), (3, 2), (3, 3), (4, 3))
       for c in ("max_resolution", "gma")),
     ("verify",),
     ("extend", "--input", "{freq}", "--t", 1),
@@ -66,6 +69,10 @@ DIGESTS = {
         "30dc3ca2f3b24becd0521631439a1b2de206c5e19d80672319464c2e4eb85ac5",
     "search --n 3 --p 3 --criterion gma --top 3":
         "48426862201efd80151504dc0bd08da34180b64103c0b4404aa8ef4a1967ea5c",
+    "search --n 4 --p 3 --criterion max_resolution --top 3":
+        "0c664a60ce3ecda19930b773f630242e5f64c10b678f21e56d767b1b11fe8ea4",
+    "search --n 4 --p 3 --criterion gma --top 3":
+        "a2f2586f65a7ed01bc382b729838a5bdb8fae30ba2585c4e128712f365c3d8b1",
     "verify":
         "14cfc77d27ba3afbadc35fb6fa614f522c7806558e7b068ee612f8caa14ab18c",
     "extend --input {freq} --t 1":

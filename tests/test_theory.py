@@ -1,7 +1,9 @@
 """Counting-theory layer: spectra from the frequency vector alone,
 periodic families, and the exact search."""
 
+import itertools
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -17,8 +19,11 @@ from qcode import (FrequencyVector, GeneratorSpec, PreconditionError,
                    preconditions_met, search, spectrum_bruteforce,
                    summarize, theory_spectrum)
 from qcode.equations import cells
-from qcode.theory import (_closed_form_profiles, _keys,
-                          _oracle_profiles)
+from qcode.theory import (_B3, _C3, WORK_BUDGET, _best_frequencies,
+                          _closed_form_profiles, _keys, _oracle_profiles,
+                          _orbit_frequencies, _orbit_representatives,
+                          _ranked_orbits, _score_batch, _system_arrays,
+                          search_work)
 
 HALF = Fraction(1, 2)
 
@@ -87,6 +92,23 @@ def test_analyze_p3_requires_preconditions_for_theory():
     rep = analyze(g, method="bruteforce")
     assert not rep.preconditions_met
     assert rep.spectrum.is_dyadic()
+
+
+def test_analyze_bruteforce_above_max_p():
+    # no equation system exists for p = 7: K/A are empty, the 4-run,
+    # 16-factor WHT still runs
+    g = GeneratorSpec(1, 7, ((1, 2, 3, 0, 1, 2, 3),))
+    rep = analyze(g, method="bruteforce")
+    assert (rep.k_values, rep.a_values, rep.rhos) == ((), (), ())
+    assert not rep.preconditions_met
+    assert rep.spectrum == spectrum_bruteforce(build_design(g), 16)
+
+
+def test_evaluate_arrays_built_once_per_p(f256):
+    c, b = _system_arrays(3)
+    assert c is _C3 and b is _B3
+    assert _system_arrays(2)[0] is _system_arrays(2)[0]
+    assert evaluate(f256).k_values == tuple((_C3 @ f256.counts).tolist())
 
 
 def test_analyze_small_p_both(rng):
@@ -199,6 +221,12 @@ def test_search_budget_guard():
         search(9, 3)
 
 
+def test_search_5_3_priced_within_budget():
+    # priced only: the search itself takes about a minute per criterion
+    assert search_work(5, 3) == comb(39, 5) * 2 ** 16 <= WORK_BUDGET
+    assert search_work(9, 3) > WORK_BUDGET
+
+
 def test_search_matches_direct_analysis(rng):
     results = search(2, 2, top=2)
     for f, rep in results:
@@ -266,3 +294,62 @@ def test_batched_oracle_keys_match_single_design(data):
             profiles.append(_closed_form_profiles(fmat, n, criterion))
         for prof in profiles:
             assert _keys(prof, n, p, criterion) == want
+
+
+def _spectrum(V, p):
+    g = GeneratorSpec(len(V), p, tuple(map(tuple, V)))
+    d = build_design(g)
+    return spectrum_bruteforce(d, d.factors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_row_and_column_symmetries_keep_the_spectrum(data):
+    """Negating a row of V, and permuting and negating V's columns, leave
+    the oracle's spectrum unchanged: the two symmetries search folds."""
+    p = data.draw(st.integers(1, 3), label="p")
+    n = data.draw(st.integers(1, 4), label="n")
+    V = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=p,
+                                    max_size=p), min_size=n, max_size=n),
+                  label="V")
+    row = data.draw(st.integers(0, n - 1), label="negated row")
+    negated = [[-x % 4 for x in r] if i == row else r
+               for i, r in enumerate(V)]
+    perm = data.draw(st.permutations(range(p)), label="column order")
+    signs = data.draw(st.lists(st.sampled_from((1, 3)), min_size=p,
+                               max_size=p), label="column signs")
+    moved = [[r[j] * s % 4 for j, s in zip(perm, signs)] for r in V]
+    want = _spectrum(V, p)
+    assert _spectrum(negated, p) == want
+    assert _spectrum(moved, p) == want
+
+
+@pytest.mark.parametrize("n, orbits", [(3, 758), (4, 5694)])
+def test_orbit_counts_p3(n, orbits):
+    chunks = list(_orbit_representatives(n, 3))
+    assert sum(len(reps) for reps, _ in chunks) == orbits
+    assert sum(int(m.sum()) for _, m in chunks) == candidate_count(n, 3)
+
+
+@pytest.mark.parametrize("n, p", list(itertools.product((1, 2, 3),
+                                                        (1, 2, 3))))
+def test_orbit_ranking_expands_to_full_ranking(n, p):
+    """Every orbit, expanded, against every candidate scored one by one:
+    the same (key, F) pairs, so each candidate is in exactly one orbit and
+    shares its representative's key; and the top list at cuts through
+    ties equals the head of the full ranking."""
+    rows = np.array(list(itertools.combinations_with_replacement(
+        range(1, 4 ** p), n)))
+    for criterion in ("max_resolution", "gma"):
+        want = sorted(_score_batch(rows, n, p, criterion))
+        ranked = _ranked_orbits(n, p, criterion)
+        assert [k for k, _, _ in ranked] == sorted(k for k, _, _ in ranked)
+        got = []
+        for key, classes, members in ranked:
+            counts = _orbit_frequencies(classes, p)
+            assert len(counts) == members
+            got += [(key, f) for f in counts]
+        assert sorted(got) == want
+        for top in (1, 2, 3, 7, 50):
+            best = _best_frequencies(n, p, criterion, top)
+            assert [f.counts for f in best] == [f for _, f in want[:top]]
