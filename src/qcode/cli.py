@@ -18,7 +18,8 @@ from pathlib import Path
 
 from .equations import build_system
 from .golden import GoldenDataError, verify_all, wordtype_str
-from .jchar import WordSpectrum, spectrum_bruteforce, summarize
+from .jchar import (WordSpectrum, spectrum_bruteforce, summarize,
+                    word_length_limit)
 from .theory import (PreconditionError, SpectrumMismatch, TheoryReport,
                      analyze, fixed_point_7, periodic_extend, search)
 from .z4 import (BudgetExceeded, FrequencyVector, build_design,
@@ -92,7 +93,7 @@ def cmd_analyze(args) -> int:
                   "only --method bruteforce applies", file=sys.stderr)
             return EXIT_INPUT
         d = design_from_text(raw)
-        max_len = args.max_length or d.factors
+        max_len = word_length_limit(d.factors, args.max_length)
         spec = spectrum_bruteforce(d, max_len, force=args.force_budget)
         summary = summarize(spec, d.factors, max_len)
         payload = _report_payload(d.runs, d.factors, "bruteforce",
@@ -177,8 +178,8 @@ def cmd_search(args) -> int:
 def _load_frequency(path: str) -> FrequencyVector:
     try:
         counts = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"frequency file {path} is not JSON: {exc}")
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"frequency file {path} is not readable JSON: {exc}")
     if not isinstance(counts, list):
         raise ValueError(f"frequency file {path} must hold a JSON array")
     p = 1

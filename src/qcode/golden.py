@@ -17,7 +17,7 @@ from importlib.resources import files
 from .equations import (all_odd_closed_form, build_system, ca_add,
                         canonical_wordtypes)
 from .theory import analyze, evaluate, fixed_point_7, periodic_extend
-from .z4 import GeneratorSpec, frequency_vector
+from .z4 import GeneratorSpec, cell_digits, frequency_vector
 
 class GoldenDataError(RuntimeError):
     """Golden data missing or failing its checksum."""
@@ -121,7 +121,7 @@ def verify_examples() -> list[str]:
 
     part = ex["all_odd_p2_partition"]
     eq = all_odd_closed_form(2)
-    labels = [f"{i >> 2}{i & 3}" for i in range(16)]
+    labels = [wordtype_str(d) for d in cell_digits(range(16), 2).tolist()]
     for value, key in ((0, "zero_cells"), (1, "one_cells"), (2, "two_cells")):
         got = {labels[i] for i, c in enumerate(eq.coeffs) if c == value}
         if got != set(part[key]):

@@ -116,6 +116,16 @@ def summarize(spectrum: WordSpectrum, factors: int,
     return DesignSummary(tuple(gwlp), r + 1 - worst, worst, scanned)
 
 
+def word_length_limit(factors: int, max_length: int | None) -> int:
+    """The longest word a report covers: every factor, unless a length
+    in 3..factors is asked for."""
+    if max_length is None:
+        return factors
+    if not 3 <= max_length <= factors:
+        raise ValueError(f"max_length must be in 3..{factors}")
+    return max_length
+
+
 def scan_cost(factors: int, runs: int, max_len: int) -> int:
     """Limb steps of the subset scan: it visits every subset of 1..max_len
     columns, each for a fixed step plus one step per 64-run limb."""

@@ -18,11 +18,12 @@ from math import comb
 import numpy as np
 
 from .equations import MAX_P, EquationSystem, build_system, cells
-from .jchar import (BudgetExceeded, DesignSummary, WordSpectrum,
-                    _popcount, _size_profiles, spectrum_bruteforce,
-                    summarize)
+from .jchar import (_WHT_MAX_FACTORS, BudgetExceeded, DesignSummary,
+                    WordSpectrum, _popcount, _size_profiles,
+                    spectrum_bruteforce, summarize, word_length_limit)
 from .z4 import (FrequencyVector, GeneratorSpec, _codewords, _gray_cells,
-                 build_design, frequency_vector, generator_for_frequency)
+                 build_design, cell_digits, cell_index, frequency_vector,
+                 generator_for_frequency)
 
 #: refuse searches priced above this much work: one oracle transform of
 #: 2^factors cells per multiset of pair classes, before any folding by
@@ -209,17 +210,16 @@ def analyze(g: GeneratorSpec, method: str = "theory",
     silently.
     """
     factors = 2 * g.n + 2 * g.p
-    max_len = factors if max_length is None else max_length
-    if not 3 <= max_len <= factors:
-        raise ValueError(f"max_length must be in 3..{factors}")
+    max_len = word_length_limit(factors, max_length)
     if method not in ("theory", "bruteforce", "both"):
         raise ValueError(f"unknown method {method!r}")
     if method in ("theory", "both") and g.p > 3:
         raise ValueError(
             f"no closed form for p = {g.p}; use method 'bruteforce'")
 
-    f = frequency_vector(g)
-    ev = evaluate(f) if g.p <= MAX_P else TheoryEvaluation(g.p, (), ())
+    # F has 4^p cells, and nothing reads it above MAX_P
+    f = frequency_vector(g) if g.p <= MAX_P else None
+    ev = evaluate(f) if f is not None else TheoryEvaluation(g.p, (), ())
     ok = preconditions_met(f) if g.p == 3 else g.p < 3
     rhos = _class_rhos(ev) if g.p == 3 and ok else ()
 
@@ -323,15 +323,14 @@ def _pair_classes(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     negating a row of V swaps one Gray column pair, and so does negating a
     column, while permuting columns permutes the pairs.
     """
-    width = 4 ** np.arange(p - 1, -1, -1)
-    digits = (np.arange(4 ** p)[:, None] // width) % 4
-    neg = (-digits % 4) @ width
+    digits = cell_digits(np.arange(4 ** p), p)
+    neg = cell_index(-digits % 4)
     low = np.array([c for c in range(1, 4 ** p) if c <= neg[c]])
     cls = np.empty(4 ** p, dtype=np.intp)
     cls[low] = cls[neg[low]] = np.arange(len(low))
     perms = np.array(list(itertools.permutations(range(p))))
     signs = np.array(list(itertools.product((1, 3), repeat=p)))
-    moved = digits[low][:, perms][:, :, None] * signs % 4 @ width
+    moved = cell_index(digits[low][:, perms][:, :, None] * signs % 4)
     action = cls[moved.reshape(len(low), -1).T]
     return low, neg[low], action.astype(np.min_scalar_type(len(low)))
 
@@ -443,7 +442,9 @@ def search(n: int, p: int, criterion: str = "max_resolution",
 
     The work is priced before any scoring (`search_work`: pair-class
     multisets times 2^factors transform cells) and refused above
-    `WORK_BUDGET` unless forced; search(5, 3) is within it.
+    `WORK_BUDGET` unless forced; search(5, 3) is within it.  Designs
+    past the oracle's 24-factor transform limit are refused even when
+    forced, since no route scores them.
     """
     if criterion not in ("max_resolution", "gma"):
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -453,6 +454,10 @@ def search(n: int, p: int, criterion: str = "max_resolution",
         raise ValueError(f"n must be positive, got n = {n}")
     if not 1 <= p <= 3:
         raise ValueError(f"search covers p in 1..3, got p = {p}")
+    if 2 * n + 2 * p > _WHT_MAX_FACTORS:
+        raise BudgetExceeded(
+            f"search over n = {n}, p = {p} scores {2 * n + 2 * p}-factor "
+            f"designs, past the oracle's {_WHT_MAX_FACTORS}-factor limit")
     work = search_work(n, p)
     if work > WORK_BUDGET and not force:
         raise BudgetExceeded(
@@ -509,8 +514,7 @@ def _oracle_profiles(rows: np.ndarray, p: int, criterion: str
                      ) -> np.ndarray:
     """The per-size profile of each candidate from the batched oracle:
     the Gray image of its code, through `jchar`'s masks and transform."""
-    V = (rows[:, :, None] >> (2 * np.arange(p - 1, -1, -1))) & 3
-    return _size_profiles(_gray_cells(_codewords(V)),
+    return _size_profiles(_gray_cells(_codewords(cell_digits(rows, p))),
                           squared=criterion == "gma")
 
 

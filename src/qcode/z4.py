@@ -9,6 +9,7 @@ columns of V first and the n identity columns after them.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -102,6 +103,23 @@ class FrequencyVector:
         return sum(self.counts)
 
 
+#: bit offset per base-4 digit, most significant first (p digits: the last p)
+_SHIFTS = 2 * np.arange(31, -1, -1)
+
+
+def cell_digits(index, p: int) -> np.ndarray:
+    """The base-4 cell codec: the (..., p) digits of cell indexes, most
+    significant first, the order of the frequency-vector cells.  Indexes
+    are int64, so p is at most 31."""
+    return (np.asarray(index)[..., None] >> _SHIFTS[-p:]) & 3
+
+
+def cell_index(digits) -> np.ndarray:
+    """Inverse of `cell_digits`: the cell index of (..., p) digits."""
+    digits = np.asarray(digits)
+    return digits @ (1 << _SHIFTS[-digits.shape[-1]:])
+
+
 def codewords(g: GeneratorSpec) -> np.ndarray:
     """All 4^n codewords t @ (V, I_n) mod 4, ordered by base-4 value of t."""
     if g.n > MAX_N:
@@ -114,8 +132,7 @@ def codewords(g: GeneratorSpec) -> np.ndarray:
 def _codewords(V: np.ndarray) -> np.ndarray:
     """Codewords of each V in a (..., n, p) stack, as `codewords` orders them."""
     n = V.shape[-2]
-    # t matrix: row r holds the base-4 digits of r, most significant first
-    t = (np.arange(4 ** n)[:, None] >> 2 * np.arange(n - 1, -1, -1)) & 3
+    t = cell_digits(np.arange(4 ** n), n)
     left = (t @ V) % 4
     return np.concatenate(
         [left, np.broadcast_to(t, left.shape[:-1] + (n,))], axis=-1)
@@ -134,33 +151,26 @@ def build_design(g: GeneratorSpec) -> BinaryDesign:
 
 
 def frequency_vector(g: GeneratorSpec) -> FrequencyVector:
-    counts = [0] * 4 ** g.p
-    for row in g.V:
-        idx = 0
-        for x in row:
-            idx = idx * 4 + x
-        counts[idx] += 1
-    return FrequencyVector(p=g.p, counts=tuple(counts))
-
-
-def pattern_of_index(index: int, p: int) -> tuple[int, ...]:
-    """Base-4 digits of a frequency-cell index, most significant first."""
-    return tuple((index >> (2 * (p - 1 - j))) & 3 for j in range(p))
+    # fromiter reads the nested tuples about twice as fast as np.array
+    V = np.fromiter(itertools.chain.from_iterable(g.V), np.int64, g.n * g.p)
+    counts = np.bincount(cell_index(V.reshape(g.n, g.p)), minlength=4 ** g.p)
+    return FrequencyVector(p=g.p, counts=tuple(counts.tolist()))
 
 
 def generator_for_frequency(f: FrequencyVector) -> GeneratorSpec:
     """A witness V realizing F: the sorted multiset of row patterns."""
-    rows = []
-    for idx, c in enumerate(f.counts):
-        rows.extend([pattern_of_index(idx, f.p)] * c)
-    return GeneratorSpec(n=len(rows), p=f.p, V=tuple(rows))
+    rows = cell_digits(np.repeat(np.arange(4 ** f.p), f.counts), f.p)
+    return GeneratorSpec(len(rows), f.p, tuple(map(tuple, rows.tolist())))
 
 
 # ---------------------------------------------------------------- file I/O
 
 def load_generator(path: str) -> GeneratorSpec:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"generator file {path} nests too deeply: {exc}")
     try:
         return GeneratorSpec(n=data["n"], p=data["p"],
                              V=tuple(tuple(row) for row in data["V"]))

@@ -176,6 +176,54 @@ def test_exit_3_on_search_budget(capsys):
     assert code == 3 and "budget" in err
 
 
+@pytest.mark.parametrize("subcommand", [("analyze",), ("extend", "--t", 1)])
+def test_exit_2_on_deeply_nested_json(tmp_path, capsys, subcommand):
+    # the JSON decoder recurses once per level and gives up
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run(capsys, subcommand[0], "--input", deep,
+                       *subcommand[1:])
+    assert code == 2
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [0, 2, -1, 15])
+@pytest.mark.parametrize("kind", ["generator", "design"])
+def test_exit_2_on_out_of_range_max_length(tmp_path, gen_file, capsys,
+                                           kind, value):
+    source = gen_file
+    if kind == "design":
+        source = tmp_path / "d.txt"
+        run(capsys, "construct", "--input", gen_file, "--output", source)
+    code, out, err = run(capsys, "analyze", "--input", source,
+                         "--method", "bruteforce", "--max-length", value)
+    assert code == 2 and out == ""
+    assert err == "analyze: max_length must be in 3..14\n"
+
+
+def test_exit_3_on_search_past_transform_limit(monkeypatch, capsys):
+    import qcode.theory as theory
+
+    def scored(*args):  # a regression would otherwise run for hours
+        raise AssertionError("search scored a design past 24 factors")
+
+    monkeypatch.setattr(theory, "_ranked_orbits", scored)
+    code, _, err = run(capsys, "search", "--n", 12, "--p", 1,
+                       "--force-budget")
+    assert code == 3 and "24-factor limit" in err
+
+
+def test_exit_3_on_wide_generator(tmp_path, capsys):
+    # p = 40: no 4^40-cell frequency vector is built, and the 82-factor
+    # subset scan is refused by its budget
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"n": 1, "p": 40, "V": [[1] * 40]}))
+    code, _, err = run(capsys, "analyze", "--input", wide,
+                       "--method", "bruteforce")
+    assert code == 3
+    assert err.count("\n") == 1 and "budget" in err
+
+
 def test_exit_3_on_oversized_construct(tmp_path, capsys):
     big = tmp_path / "big.json"
     big.write_text(json.dumps({"n": 13, "p": 1,

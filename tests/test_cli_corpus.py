@@ -6,7 +6,10 @@ The digests were recorded before the search oracle was folded into
 before those routes were merged into one scorer.  The two
 `search --n 4 --p 3` ones were recorded with the per-candidate search,
 before it scored one representative per symmetry orbit (about five
-minutes each then).  Any refactor that keeps the outputs keeps them.
+minutes each then).  The `matrices --p 4` and `--p 5` ones, which no
+frozen data covers, were recorded before the equation moves became
+array operations on the digit grid.  Any refactor that keeps the
+outputs keeps them.
 To re-record after an intended output change, run
 `python tests/test_cli_corpus.py` and paste what it prints.
 """
@@ -26,6 +29,7 @@ from qcode.cli import main
 CORPUS = (
     *(("matrices", "--p", p, "--format", fmt)
       for p in (1, 2, 3) for fmt in ("json", "text")),
+    *(("matrices", "--p", p, "--format", "json") for p in (4, 5)),
     *(("analyze", "--input", "{gen}", "--method", m)
       for m in ("theory", "bruteforce", "both")),
     ("construct", "--input", "{gen}"),
@@ -49,6 +53,10 @@ DIGESTS = {
         "13ba2ef53f05549f6bf903cbbcb1364d8345584d4fbbd6b556d3aae0c1cc57cb",
     "matrices --p 3 --format text":
         "00c8d7f38c227ce9657f28839eac5c0c832d1106af9792bd8daa4ca7d6785cff",
+    "matrices --p 4 --format json":
+        "be670ce9fdee32ef13b6ce8ae8dc913050f27e2376ceacab2ab8f0a1d0dd8234",
+    "matrices --p 5 --format json":
+        "2cd33211fb14565b420ed41c642e0d4a2a58d52f1e64f328a5239ea4a844d61a",
     "analyze --input {gen} --method theory":
         "25955ea99e43e281cee1ae729c885afdc04e0d8f1fe2fa728f51479fedb2324b",
     "analyze --input {gen} --method bruteforce":

@@ -221,6 +221,22 @@ def test_search_budget_guard():
         search(9, 3)
 
 
+@pytest.mark.parametrize("force", [False, True])
+def test_search_refuses_designs_past_the_transform_limit(monkeypatch, force):
+    # 26 factors: priced far under WORK_BUDGET, but no scoring route
+    # exists there, so the refusal comes before any scoring, forced or not
+    import qcode.theory as theory
+    from qcode import BudgetExceeded
+
+    def scored(*args):
+        raise AssertionError("search scored a design past 24 factors")
+
+    monkeypatch.setattr(theory, "_ranked_orbits", scored)
+    assert search_work(12, 1) <= WORK_BUDGET
+    with pytest.raises(BudgetExceeded, match="26-factor designs"):
+        search(12, 1, force=force)
+
+
 def test_search_5_3_priced_within_budget():
     # priced only: the search itself takes about a minute per criterion
     assert search_work(5, 3) == comb(39, 5) * 2 ** 16 <= WORK_BUDGET

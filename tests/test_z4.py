@@ -11,6 +11,8 @@ from qcode import (BudgetExceeded, FrequencyVector, GeneratorSpec,
                    design_to_text, frequency_vector,
                    generator_for_frequency, gray_map, lee_weight,
                    load_generator, save_generator)
+from qcode.equations import cells
+from qcode.z4 import cell_digits, cell_index
 
 GRAY = {0: (1, 1), 1: (1, -1), 2: (-1, -1), 3: (-1, 1)}
 
@@ -127,6 +129,17 @@ def test_frequency_vector_all_zero_rows():
 def test_frequency_vector_base4_index():
     g = GeneratorSpec(2, 2, ((1, 2), (1, 2)))
     assert frequency_vector(g).counts[6] == 2
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+def test_cell_codec_round_trip(p):
+    index = np.arange(4 ** p)
+    digits = cell_digits(index, p)
+    assert digits.tolist() == [list(c) for c in cells(p)]
+    assert (cell_index(digits) == index).all()
+    # leading axes are a batch, in both directions
+    batch = index[::-1].reshape(4, -1)
+    assert (cell_index(cell_digits(batch, p)) == batch).all()
 
 
 def test_frequency_row_permutation_invariance(rng):
