@@ -133,7 +133,7 @@ def theory_spectrum(f: FrequencyVector) -> WordSpectrum:
     even wordtypes contribute one completely aliased word each.
     """
     _require_preconditions(f)
-    return _spectrum(evaluate(f))
+    return _spectrum(evaluate(f), 2 * sum(f.counts) + 2 * f.p)
 
 
 def _require_preconditions(f: FrequencyVector) -> None:
@@ -158,14 +158,17 @@ def _lengths_exponents(k: np.ndarray, a: np.ndarray
     return _CONSTANTS3 + k, np.where(_ODD3, np.take(e, _CLASS3, axis=-1), 0)
 
 
-def _spectrum(ev: TheoryEvaluation) -> WordSpectrum:
+def _spectrum(ev: TheoryEvaluation, max_len: int) -> WordSpectrum:
+    """The closed-form spectrum of the words up to `max_len` long."""
     lengths, exps = _lengths_exponents(ev.k_values, ev.a_values)
-    agg: dict[tuple[int, Fraction], int] = {}
+    agg: dict[tuple[int, int], int] = {}
     for length, e, odd in zip(lengths.tolist(), exps.tolist(),
                               _ODD3.tolist()):
-        key = (length, Fraction(1, 2 ** e))
-        agg[key] = agg.get(key, 0) + (2 * 4 ** e if odd else 1)
-    return WordSpectrum(tuple((l, r, c) for (l, r), c in agg.items()))
+        if length <= max_len:
+            agg[length, e] = agg.get((length, e), 0) + (
+                2 * 4 ** e if odd else 1)
+    return WordSpectrum(tuple((l, Fraction(1, 2 ** e), c)
+                              for (l, e), c in agg.items()))
 
 
 def class_rhos(f: FrequencyVector) -> tuple[Fraction, ...]:
@@ -193,10 +196,6 @@ class TheoryReport:
     preconditions_met: bool
 
 
-def _clip(spec: WordSpectrum, max_len: int) -> WordSpectrum:
-    return WordSpectrum(tuple(e for e in spec.entries if e[0] <= max_len))
-
-
 def analyze(g: GeneratorSpec, method: str = "theory",
             max_length: int | None = None, force: bool = False
             ) -> TheoryReport:
@@ -204,10 +203,11 @@ def analyze(g: GeneratorSpec, method: str = "theory",
 
     method 'theory' uses the closed form (p = 3; smaller p falls back
     to the exact scan, which is cheap there), 'bruteforce' scans column
-    subsets, 'both' runs the two and insists they agree.  The report
-    carries K/A values (empty above p = MAX_P, where no equation system
-    is built) and whether the closed form applies; nothing falls back
-    silently.
+    subsets, 'both' runs the two and insists they agree.  'theory' and
+    'both' check the closed form's preconditions before any design is
+    built.  The report carries K/A values (empty above p = MAX_P, where
+    no equation system is built) and whether the closed form applies;
+    nothing falls back silently.
     """
     factors = 2 * g.n + 2 * g.p
     max_len = word_length_limit(factors, max_length)
@@ -217,27 +217,24 @@ def analyze(g: GeneratorSpec, method: str = "theory",
         raise ValueError(
             f"no closed form for p = {g.p}; use method 'bruteforce'")
 
+    # below p = 3 the scan is both reference and fast path
+    closed = method != "bruteforce" and g.p == 3
     # F has 4^p cells, and nothing reads it above MAX_P
     f = frequency_vector(g) if g.p <= MAX_P else None
+    if closed:
+        _require_preconditions(f)
     ev = evaluate(f) if f is not None else TheoryEvaluation(g.p, (), ())
     ok = preconditions_met(f) if g.p == 3 else g.p < 3
     rhos = _class_rhos(ev) if g.p == 3 and ok else ()
 
-    brute = theory = None
-    if method in ("bruteforce", "both"):
+    theory = _spectrum(ev, max_len) if closed else None
+    brute = None
+    if not closed or method == "both":
         brute = spectrum_bruteforce(build_design(g), max_len, force=force)
         if not brute.is_dyadic():
             raise AssertionError(
                 "non-dyadic aliasing index in a quaternary-code design")
-    if method in ("theory", "both"):
-        if g.p == 3:
-            _require_preconditions(f)
-            theory = _clip(_spectrum(ev), max_len)
-        else:
-            # below p = 3 the scan is both reference and fast path
-            theory = brute if brute is not None else spectrum_bruteforce(
-                build_design(g), max_len, force=force)
-    if method == "both":
+    if theory is not None and brute is not None:
         _compare_spectra(theory, brute)
     spec = brute if brute is not None else theory
     return TheoryReport(4 ** g.n, factors, method, ev.k_values,
@@ -277,12 +274,14 @@ def periodic_extend(f0: FrequencyVector, t: int) -> PeriodicFamily:
     so the shortest word length shifts by 64t while its aliasing index
     picks up a factor 2^-16t (complete words stay completely aliased).
     Both shift identities are re-checked here on the actual vectors.
+    The base's shortest length r and aliasing index rho are read from
+    the closed-form length and exponent of each wordtype: r is the
+    least length, and rho = 2^-e for the least exponent e at r.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     _require_preconditions(f0)
     ev0 = evaluate(f0)
-    spec0 = _spectrum(ev0)
     ft = FrequencyVector(f0.p, (f0.counts[0],)
                          + tuple(c + t for c in f0.counts[1:]))
     evt = evaluate(ft)
@@ -290,10 +289,11 @@ def periodic_extend(f0: FrequencyVector, t: int) -> PeriodicFamily:
         raise AssertionError("word-count shift identity violated")
     if any(b - a != 32 * t for a, b in zip(ev0.a_values, evt.a_values)):
         raise AssertionError("parity-sum shift identity violated")
-    r0 = spec0.entries[0][0]
-    rho0 = max(r for l, r, _ in spec0.entries if l == r0)
+    lengths, exps = _lengths_exponents(ev0.k_values, ev0.a_values)
+    r0 = int(lengths.min())
+    e0 = int(exps[lengths == r0].min())
     r = r0 + 64 * t
-    rho = Fraction(1) if rho0 == 1 else rho0 / 2 ** (16 * t)
+    rho = Fraction(1, 2 ** (e0 + 16 * t)) if e0 else Fraction(1)
     return PeriodicFamily(f0, t, ft, r, rho, r + 1 - rho)
 
 
@@ -375,13 +375,12 @@ def _ranked_orbits(n: int, p: int, criterion: str
     orbit shares the key of its representative, whose rows are the low
     cells of its classes."""
     low = _pair_classes(p)[0]
-    step = max(1, _BATCH_CELLS >> (2 * n + 2 * p))
+    step = max(1, min(1024, _BATCH_CELLS >> (2 * n + 2 * p)))
     ranked = []
     for reps, members in _orbit_representatives(n, p):
         for lo in range(0, len(reps), step):
             part = reps[lo:lo + step]
-            scored = _score_batch(low[part], n, p, criterion)
-            ranked += zip((key for key, _ in scored),
+            ranked += zip(_score_batch(low[part], n, p, criterion),
                           map(tuple, part.tolist()),
                           members[lo:lo + step].tolist())
     ranked.sort(key=lambda orbit: orbit[0])
@@ -476,22 +475,20 @@ def _report_for_frequency(f: FrequencyVector) -> TheoryReport:
 
 
 def _score_batch(rows: np.ndarray, n: int, p: int, criterion: str
-                 ) -> list[tuple[tuple, tuple[int, ...]]]:
-    """(key, F) per candidate of a batch of sorted cell-index rows."""
+                 ) -> list[tuple]:
+    """Ranking key per candidate of a batch of sorted cell-index rows."""
     nb = len(rows)
-    fmat = np.zeros((nb, 4 ** p), dtype=np.int64)
-    np.add.at(fmat, (np.arange(nb)[:, None], rows), 1)
     prof = np.empty((nb, 2 * n + 2 * p - 2), dtype=np.int64)
     rest = np.arange(nb)
     if p == 3:
+        fmat = np.zeros((nb, 64), dtype=np.int64)
+        np.add.at(fmat, (np.arange(nb)[:, None], rows), 1)
         ok = (fmat @ _PRECONDITION_MASK.T > 0).all(axis=1)
         prof[ok] = _closed_form_profiles(fmat[ok], n, criterion)
         rest = np.flatnonzero(~ok)
-    for lo in range(0, rest.size, 1024):
-        sub = rest[lo:lo + 1024]
-        prof[sub] = _oracle_profiles(rows[sub], p, criterion)
-    return list(zip(_keys(prof, n, p, criterion),
-                    map(tuple, fmat.tolist())))
+    if rest.size:
+        prof[rest] = _oracle_profiles(rows[rest], p, criterion)
+    return _keys(prof, n, p, criterion)
 
 
 def _closed_form_profiles(fmat: np.ndarray, n: int, criterion: str

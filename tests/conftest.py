@@ -76,3 +76,17 @@ def tamper_design_256x14(monkeypatch, field, cell):
         return ex
 
     monkeypatch.setattr(golden, "load_examples", tampered)
+
+
+def miscount_scan(monkeypatch):
+    """Make the subset scan behind `analyze` report one word too many in
+    the first cell of its spectrum."""
+    import qcode.theory as theory
+    from qcode import WordSpectrum
+    real = theory.spectrum_bruteforce
+
+    def miscounted(*args, **kwargs):
+        (length, rho, count), *rest = real(*args, **kwargs).entries
+        return WordSpectrum(((length, rho, count + 1), *rest))
+
+    monkeypatch.setattr(theory, "spectrum_bruteforce", miscounted)

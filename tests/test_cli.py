@@ -1,10 +1,15 @@
 """Command-line surface: formats, round trips, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import tamper_design_256x14
+import qcode
+from conftest import miscount_scan, tamper_design_256x14
 from qcode.cli import main
 
 
@@ -107,6 +112,19 @@ def test_verify_tampered_cell_exits_1(monkeypatch, capsys, field):
     assert code == 1
     assert f"design_256x14: {field} cell 23 (112)" in out
     assert out.endswith("verify: 1 mismatch(es)\n")
+
+
+def test_python_m_qcode_runs_the_cli():
+    src = str(Path(qcode.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run([sys.executable, "-m", "qcode", "verify"],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("verify: matrices p=1,2,3 and all frozen "
+                           "examples match\n")
 
 
 def test_verify_single_p(capsys):
@@ -269,6 +287,16 @@ def test_bruteforce_wide_generator_needs_no_force(tmp_path, capsys):
                        "--method", "bruteforce")
     assert code == 0
     assert json.loads(out)["factors"] == 20
+
+
+def test_exit_1_on_spectrum_mismatch(monkeypatch, gen_file, capsys):
+    miscount_scan(monkeypatch)
+    code, out, err = run(capsys, "analyze", "--input", gen_file,
+                         "--method", "both")
+    assert code == 1
+    assert out == ""
+    assert err == ("analyze: closed form and subset scan disagree at "
+                   "length 6, aliasing index 1/2: 168 vs 169 words\n")
 
 
 def test_exit_4_on_internal_error(monkeypatch, capsys):

@@ -8,8 +8,10 @@ before those routes were merged into one scorer.  The two
 before it scored one representative per symmetry orbit (about five
 minutes each then).  The `matrices --p 4` and `--p 5` ones, which no
 frozen data covers, were recorded before the equation moves became
-array operations on the digit grid.  Any refactor that keeps the
-outputs keeps them.
+array operations on the digit grid.  The two `--max-length 8` ones, a
+clip that keeps lengths 6 and 8, were recorded while the closed form
+still built its full spectrum and then copied the clipped part.  Any
+refactor that keeps the outputs keeps them.
 To re-record after an intended output change, run
 `python tests/test_cli_corpus.py` and paste what it prints.
 """
@@ -32,6 +34,9 @@ CORPUS = (
     *(("matrices", "--p", p, "--format", "json") for p in (4, 5)),
     *(("analyze", "--input", "{gen}", "--method", m)
       for m in ("theory", "bruteforce", "both")),
+    ("analyze", "--input", "{gen}", "--method", "theory", "--max-length", 8,
+     "--format", "text"),
+    ("analyze", "--input", "{gen}", "--method", "both", "--max-length", 8),
     ("construct", "--input", "{gen}"),
     *(("search", "--n", n, "--p", p, "--criterion", c, "--top", 3)
       for n, p in ((2, 3), (3, 2), (3, 3), (4, 3))
@@ -63,6 +68,10 @@ DIGESTS = {
         "bc5c65e474577baafa99d9892d5eab3e21b90240b34b4f49e1d9e92338fb20aa",
     "analyze --input {gen} --method both":
         "19986852c2cb482efc6ac9dc7cc898d12e49d9c74427d0ffdae587edf05335e1",
+    "analyze --input {gen} --method theory --max-length 8 --format text":
+        "0a4757458cda8e5375b1dbf35d0cd54ed750dc8a70a7847ac36baeb3ba0c33fb",
+    "analyze --input {gen} --method both --max-length 8":
+        "102276e771ab9191a6d92b9b1729aa3ebd8d57eb0c7e8679738d06b9b744550e",
     "construct --input {gen}":
         "bdaeee7413e878b3afaf7a6fe48a4d46afe65781e161106449269b7718195179",
     "search --n 2 --p 3 --criterion max_resolution --top 3":

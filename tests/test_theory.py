@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (MIXED_PARITIES, random_generator,
+from conftest import (MIXED_PARITIES, miscount_scan, random_generator,
                       random_precondition_generator)
 from qcode import (FrequencyVector, GeneratorSpec, PreconditionError,
-                   aliasing_exponent, analyze, build_design,
+                   SpectrumMismatch, aliasing_exponent, analyze, build_design,
                    candidate_count, class_rhos, evaluate, fixed_point_7,
                    frequency_vector, generator_for_frequency,
                    parity_class_sums, periodic_extend, precondition_sums,
@@ -92,6 +92,38 @@ def test_analyze_p3_requires_preconditions_for_theory():
     rep = analyze(g, method="bruteforce")
     assert not rep.preconditions_met
     assert rep.spectrum.is_dyadic()
+
+
+def test_analyze_checks_preconditions_before_building(monkeypatch):
+    import qcode.theory as theory
+
+    def built(g):
+        raise AssertionError("a design was built for a failing F")
+
+    monkeypatch.setattr(theory, "build_design", built)
+    g = GeneratorSpec(3, 3, ((1, 1, 1), (2, 0, 0), (0, 2, 2)))
+    for method in ("theory", "both"):
+        with pytest.raises(PreconditionError):
+            analyze(g, method=method)
+
+
+def test_analyze_both_raises_on_mismatch(monkeypatch, design256):
+    miscount_scan(monkeypatch)
+    with pytest.raises(SpectrumMismatch, match="at length 6, aliasing "
+                       "index 1/2: 168 vs 169 words"):
+        analyze(design256[0], method="both")
+
+
+def test_clipped_reports_agree_on_frozen_design(design256):
+    """Each max_length: the closed form's clipped spectrum against the
+    subset scan's, and the summaries built from them."""
+    g = design256[0]
+    for k in range(3, 15):
+        theory, both, brute = (analyze(g, method=m, max_length=k)
+                               for m in ("theory", "both", "bruteforce"))
+        assert theory.spectrum == both.spectrum == brute.spectrum
+        assert theory.summary == both.summary == brute.summary
+        assert all(length <= k for length, _, _ in theory.spectrum.entries)
 
 
 def test_analyze_bruteforce_above_max_p():
@@ -175,6 +207,47 @@ def test_periodic_extension_identity(f256):
     assert fam.predicted_r == 6
     assert fam.predicted_rho == HALF
     assert fam.predicted_resolution == Fraction(13, 2)
+
+
+def _check_periodic_against_closed_form(f0, t):
+    fam = periodic_extend(f0, t)
+    spec = theory_spectrum(fam.extended)
+    summary = summarize(spec, 2 * sum(fam.extended.counts) + 6)
+    assert fam.predicted_r == spec.entries[0][0]
+    assert fam.predicted_rho == summary.max_rho_at_min_length
+    assert fam.predicted_resolution == summary.resolution
+    return fam
+
+
+#: the p = 3 cells of each mixed parity pattern
+_MIXED_CELLS = tuple(
+    [c for c, pat in enumerate(cells(3)) if tuple(x % 2 for x in pat) == pi]
+    for pi in MIXED_PARITIES)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_periodic_prediction_matches_closed_form(data):
+    picks = [data.draw(st.sampled_from(cs), label="mixed cell")
+             for cs in _MIXED_CELLS]
+    picks += data.draw(st.lists(st.integers(0, 63), max_size=6),
+                       label="more cells")
+    counts = [0] * 64
+    for c in picks:
+        counts[c] += 1
+    t = data.draw(st.integers(0, 3), label="t")
+    _check_periodic_against_closed_form(FrequencyVector(3, tuple(counts)), t)
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 3])
+def test_periodic_prediction_keeps_complete_word(t):
+    # a complete word is among the shortest words: rho stays 1
+    counts = [0] * 64
+    for c in (11, 25, 37, 40, 54, 56, 59):
+        counts[c] = 1
+    fam = _check_periodic_against_closed_form(
+        FrequencyVector(3, tuple(counts)), t)
+    assert (fam.predicted_r, fam.predicted_rho) == (6 + 64 * t, 1)
 
 
 def test_shift_identities_random(rng, systems):
@@ -356,8 +429,14 @@ def test_orbit_ranking_expands_to_full_ranking(n, p):
     ties equals the head of the full ranking."""
     rows = np.array(list(itertools.combinations_with_replacement(
         range(1, 4 ** p), n)))
+    fmat = np.zeros((len(rows), 4 ** p), dtype=np.int64)
+    np.add.at(fmat, (np.arange(len(rows))[:, None], rows), 1)
     for criterion in ("max_resolution", "gma"):
-        want = sorted(_score_batch(rows, n, p, criterion))
+        # scored in batches of the size search uses, so the oracle's
+        # buffers stay bounded
+        keys = [key for lo in range(0, len(rows), 1024)
+                for key in _score_batch(rows[lo:lo + 1024], n, p, criterion)]
+        want = sorted(zip(keys, map(tuple, fmat.tolist())))
         ranked = _ranked_orbits(n, p, criterion)
         assert [k for k, _, _ in ranked] == sorted(k for k, _, _ in ranked)
         got = []
