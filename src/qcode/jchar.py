@@ -173,7 +173,7 @@ def _subset_j(cells: np.ndarray) -> np.ndarray:
     counts = np.zeros((masks.shape[0], 1 << factors),
                       dtype=np.min_scalar_type(-runs - 1))
     np.add.at(counts, (np.arange(masks.shape[0])[:, None], masks), 1)
-    return walsh_hadamard(counts.reshape(cells.shape[:-2] + (-1,)))
+    return walsh_hadamard(counts.reshape(cells.shape[:-2] + (1 << factors,)))
 
 
 def _spectrum_wht(d: BinaryDesign, max_len: int) -> WordSpectrum:

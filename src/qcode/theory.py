@@ -65,9 +65,8 @@ def _system_arrays(p: int) -> tuple[np.ndarray, np.ndarray]:
             np.array(sysm.b_matrix(), dtype=np.int64))
 
 
-#: the p = 3 closed form's tables, built once for analyze and search
+#: the p = 3 closed form's tables, built once
 _SYSTEM3 = build_system(3)
-_C3, _B3 = _system_arrays(3)
 _CONSTANTS3 = np.array(_SYSTEM3.constants, dtype=np.int64)
 #: odd positions q per parity class, aligned with A_order
 _Q3 = np.array([sum(pi) for pi in _SYSTEM3.a_order], dtype=np.int64)
@@ -380,8 +379,9 @@ def _ranked_orbits(n: int, p: int, criterion: str
     for reps, members in _orbit_representatives(n, p):
         for lo in range(0, len(reps), step):
             part = reps[lo:lo + step]
-            ranked += zip(_score_batch(low[part], n, p, criterion),
-                          map(tuple, part.tolist()),
+            keys = _keys(_oracle_profiles(low[part], p, criterion),
+                         n, p, criterion)
+            ranked += zip(keys, map(tuple, part.tolist()),
                           members[lo:lo + step].tolist())
     ranked.sort(key=lambda orbit: orbit[0])
     return ranked
@@ -433,17 +433,17 @@ def search(n: int, p: int, criterion: str = "max_resolution",
     one orbit at a time: one representative per orbit of the multisets
     of pair classes under the column group (758 orbits for the 43,680
     candidates of search(3, 3), 5,694 for the 720,720 of search(4, 3)).
-    Each representative goes through the closed form whenever it applies
-    and through a batched Walsh-Hadamard scan otherwise; both routes
-    produce the same per-size profile, and one key builder turns it into
-    the exact ranking key.  Only the orbits that reach the top `top` are
-    expanded into frequency vectors.
+    Every representative is scored by a batched Walsh-Hadamard scan,
+    whose per-size profile one key builder turns into the exact ranking
+    key; the p = 3 closed form rarely applies to a representative, and
+    serves only the reports of the winners.  Only the orbits that reach
+    the top `top` are expanded into frequency vectors.
 
     The work is priced before any scoring (`search_work`: pair-class
     multisets times 2^factors transform cells) and refused above
     `WORK_BUDGET` unless forced; search(5, 3) is within it.  Designs
     past the oracle's 24-factor transform limit are refused even when
-    forced, since no route scores them.
+    forced, since the transform cannot score them.
     """
     if criterion not in ("max_resolution", "gma"):
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -474,39 +474,6 @@ def _report_for_frequency(f: FrequencyVector) -> TheoryReport:
     return analyze(g, method="bruteforce", force=True)
 
 
-def _score_batch(rows: np.ndarray, n: int, p: int, criterion: str
-                 ) -> list[tuple]:
-    """Ranking key per candidate of a batch of sorted cell-index rows."""
-    nb = len(rows)
-    prof = np.empty((nb, 2 * n + 2 * p - 2), dtype=np.int64)
-    rest = np.arange(nb)
-    if p == 3:
-        fmat = np.zeros((nb, 64), dtype=np.int64)
-        np.add.at(fmat, (np.arange(nb)[:, None], rows), 1)
-        ok = (fmat @ _PRECONDITION_MASK.T > 0).all(axis=1)
-        prof[ok] = _closed_form_profiles(fmat[ok], n, criterion)
-        rest = np.flatnonzero(~ok)
-    if rest.size:
-        prof[rest] = _oracle_profiles(rows[rest], p, criterion)
-    return _keys(prof, n, p, criterion)
-
-
-def _closed_form_profiles(fmat: np.ndarray, n: int, criterion: str
-                          ) -> np.ndarray:
-    """The per-size profile of `jchar._size_profiles`, from the p = 3
-    closed form of each F of a (batch, 64) stack: an odd wordtype is
-    2 * 4^e words of |j| = runs >> e, an even one a complete word."""
-    lengths, e = _lengths_exponents(fmat @ _C3.T, fmat @ _B3.T)
-    runs = 4 ** n
-    prof = np.zeros((len(fmat), 2 * n + 4), dtype=np.int64)
-    at = (np.arange(len(fmat))[:, None], lengths - 3)
-    if criterion == "gma":
-        np.add.at(prof, at, np.where(_ODD3, 2 * runs * runs, runs * runs))
-    else:
-        np.maximum.at(prof, at, runs >> e)
-    return prof
-
-
 def _oracle_profiles(rows: np.ndarray, p: int, criterion: str
                      ) -> np.ndarray:
     """The per-size profile of each candidate from the batched oracle:
@@ -524,7 +491,9 @@ def _keys(prof: np.ndarray, n: int, p: int, criterion: str) -> list:
     found = prof > 0
     worded, size = found.any(axis=1), found.argmax(axis=1)
     top = prof[np.arange(len(prof)), size]
-    assert not (top & (top - 1)).any()  # aliasing indexes are dyadic
+    if (top & (top - 1)).any():
+        raise AssertionError(
+            "non-dyadic aliasing index in a quaternary-code design")
     # rho = top / runs = 2^-e, and log2(top) is the popcount of top - 1
     e = np.where(worded, 2 * n - _popcount(top - 1).astype(np.int64), 0)
     r = np.where(worded, size + 3, 2 * n + 2 * p + 1)

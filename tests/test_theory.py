@@ -19,11 +19,10 @@ from qcode import (FrequencyVector, GeneratorSpec, PreconditionError,
                    preconditions_met, search, spectrum_bruteforce,
                    summarize, theory_spectrum)
 from qcode.equations import cells
-from qcode.theory import (_B3, _C3, WORK_BUDGET, _best_frequencies,
-                          _closed_form_profiles, _keys, _oracle_profiles,
-                          _orbit_frequencies, _orbit_representatives,
-                          _ranked_orbits, _score_batch, _system_arrays,
-                          search_work)
+from qcode.theory import (WORK_BUDGET, _best_frequencies, _keys,
+                          _oracle_profiles, _orbit_frequencies,
+                          _orbit_representatives, _ranked_orbits,
+                          _system_arrays, search_work)
 
 HALF = Fraction(1, 2)
 
@@ -137,10 +136,10 @@ def test_analyze_bruteforce_above_max_p():
 
 
 def test_evaluate_arrays_built_once_per_p(f256):
-    c, b = _system_arrays(3)
-    assert c is _C3 and b is _B3
+    c3 = _system_arrays(3)[0]
+    assert c3 is _system_arrays(3)[0]
     assert _system_arrays(2)[0] is _system_arrays(2)[0]
-    assert evaluate(f256).k_values == tuple((_C3 @ f256.counts).tolist())
+    assert evaluate(f256).k_values == tuple((c3 @ f256.counts).tolist())
 
 
 def test_analyze_small_p_both(rng):
@@ -358,9 +357,9 @@ _MIXED_CELLS = [[i for i, c in enumerate(cells(3))
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_batched_oracle_keys_match_single_design(data):
-    """Both search routes' profiles, through `_keys`, against the
-    single-design oracle; closed-form draws put mass on every mixed
-    parity class, so both routes apply to them."""
+    """Search's batched oracle profiles, through `_keys`, against the
+    single-design oracle; the p = 3 mixed-class draws put mass on every
+    mixed parity class, where the closed form would also apply."""
     closed = data.draw(st.booleans(), label="closed form")
     if closed:
         p, n = 3, data.draw(st.integers(3, 4), label="n")
@@ -378,11 +377,24 @@ def test_batched_oracle_keys_match_single_design(data):
     for criterion in ("max_resolution", "gma"):
         want = [_key_from_summary(tuple(f), p, criterion)
                 for f in fmat.tolist()]
-        profiles = [_oracle_profiles(rows, p, criterion)]
-        if closed:
-            profiles.append(_closed_form_profiles(fmat, n, criterion))
-        for prof in profiles:
-            assert _keys(prof, n, p, criterion) == want
+        prof = _oracle_profiles(rows, p, criterion)
+        assert _keys(prof, n, p, criterion) == want
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("criterion", ["max_resolution", "gma"])
+def test_oracle_profiles_of_an_empty_batch(p, criterion):
+    n = 3
+    prof = _oracle_profiles(np.zeros((0, n), dtype=np.intp), p, criterion)
+    assert prof.shape == (0, 2 * n + 2 * p - 2)
+    assert _keys(prof, n, p, criterion) == []
+
+
+def test_keys_reject_a_non_dyadic_index():
+    """A largest |j| of 3 at n = 1 would be rho = 3/4; the check is a
+    raise, so it holds under `python -O` too."""
+    with pytest.raises(AssertionError, match="non-dyadic"):
+        _keys(np.array([[0, 3, 0, 0]]), 1, 2, "max_resolution")
 
 
 def _spectrum(V, p):
@@ -435,7 +447,8 @@ def test_orbit_ranking_expands_to_full_ranking(n, p):
         # scored in batches of the size search uses, so the oracle's
         # buffers stay bounded
         keys = [key for lo in range(0, len(rows), 1024)
-                for key in _score_batch(rows[lo:lo + 1024], n, p, criterion)]
+                for key in _keys(_oracle_profiles(rows[lo:lo + 1024], p,
+                                                  criterion), n, p, criterion)]
         want = sorted(zip(keys, map(tuple, fmat.tolist())))
         ranked = _ranked_orbits(n, p, criterion)
         assert [k for k, _, _ in ranked] == sorted(k for k, _, _ in ranked)
