@@ -32,6 +32,9 @@ _SUBSET_VISIT_STEPS = 45
 #: largest factor count handled by the full Walsh-Hadamard transform
 _WHT_MAX_FACTORS = 24
 
+#: runs per block of `negation_masks`
+_MASK_RUNS = 1 << 16
+
 
 def _check_subset(d: BinaryDesign, indices) -> tuple[int, ...]:
     idx = tuple(indices)
@@ -140,12 +143,12 @@ def _popcount(a: np.ndarray) -> np.ndarray:
     return bits.sum(axis=-1, dtype=np.uint8)
 
 
-def negation_masks(d) -> np.ndarray:
-    """Per-run bitmask of columns holding -1 (bit i = column i+1), for a
-    design or a (..., runs, factors) stack of design cells."""
-    cells = d.cells if isinstance(d, BinaryDesign) else d
-    bits = (cells < 0).astype(np.int64)
-    return bits @ (1 << np.arange(cells.shape[-1], dtype=np.int64))
+def negation_masks(d: BinaryDesign) -> np.ndarray:
+    """Per-run bitmask of columns holding -1 (bit i = column i+1), made
+    2^16 runs at a time, so the int64 copy of the cells stays small."""
+    weights = 1 << np.arange(d.factors)
+    return np.concatenate([(d.cells[lo:lo + _MASK_RUNS] < 0).astype(np.int64)
+                           @ weights for lo in range(0, d.runs, _MASK_RUNS)])
 
 
 def walsh_hadamard(counts: np.ndarray) -> np.ndarray:
@@ -164,20 +167,16 @@ def walsh_hadamard(counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _subset_j(cells: np.ndarray) -> np.ndarray:
-    """j of every column subset, per design of a (..., runs, factors)
-    stack: a histogram of the negation masks, then its WHT, both in the
-    narrowest integer type that holds +-runs."""
-    runs, factors = cells.shape[-2:]
-    masks = negation_masks(cells).reshape(-1, runs)
-    counts = np.zeros((masks.shape[0], 1 << factors),
-                      dtype=np.min_scalar_type(-runs - 1))
-    np.add.at(counts, (np.arange(masks.shape[0])[:, None], masks), 1)
-    return walsh_hadamard(counts.reshape(cells.shape[:-2] + (1 << factors,)))
+def _subset_j(d: BinaryDesign) -> np.ndarray:
+    """j of every column subset: a histogram of the negation masks, then
+    its WHT, both in the narrowest integer type that holds +-runs."""
+    counts = np.zeros(1 << d.factors, dtype=np.min_scalar_type(-d.runs - 1))
+    np.add.at(counts, negation_masks(d), 1)
+    return walsh_hadamard(counts)
 
 
 def _spectrum_wht(d: BinaryDesign, max_len: int) -> WordSpectrum:
-    j = _subset_j(d.cells)
+    j = _subset_j(d)
     sizes = _popcount(np.arange(j.size, dtype=np.uint32))
     keep = (j != 0) & (sizes >= 3) & (sizes <= max_len)
     pairs = np.stack([sizes[keep], np.abs(j[keep])], axis=1)
@@ -185,25 +184,6 @@ def _spectrum_wht(d: BinaryDesign, max_len: int) -> WordSpectrum:
     entries = tuple((int(s), Fraction(int(v), d.runs), int(c))
                     for (s, v), c in zip(cells, n))
     return WordSpectrum(entries)
-
-
-def _size_profiles(cells: np.ndarray, squared: bool) -> np.ndarray:
-    """Per design of a (batch, runs, factors) stack and per subset size
-    k = 3..factors: with `squared` the sum of j^2 over k-subsets (runs^2
-    A_k), else the largest |j|, up to the first k at which every design
-    has a word (later columns stay 0)."""
-    j = _subset_j(cells)
-    sizes = _popcount(np.arange(j.shape[-1]))
-    out = np.zeros((len(j), cells.shape[-1] - 2), dtype=np.int64)
-    for k in range(3, cells.shape[-1] + 1):
-        seg = np.take(j, np.flatnonzero(sizes == k), axis=1)
-        if squared:
-            out[:, k - 3] = np.einsum("ij,ij->i", seg, seg, dtype=np.int64)
-        else:
-            out[:, k - 3] = np.abs(seg).max(axis=1)
-            if out[:, :k - 2].any(axis=1).all():
-                break
-    return out
 
 
 def _spectrum_dfs(d: BinaryDesign, max_len: int) -> WordSpectrum:

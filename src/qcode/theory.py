@@ -17,26 +17,22 @@ from math import comb
 
 import numpy as np
 
-from .equations import MAX_P, EquationSystem, build_system, cells
+from .equations import (MAX_P, EquationSystem, build_system, cells,
+                        canonical_wordtypes, parity_classes)
 from .jchar import (_WHT_MAX_FACTORS, BudgetExceeded, DesignSummary,
-                    WordSpectrum, _popcount, _size_profiles,
-                    spectrum_bruteforce, summarize, word_length_limit)
-from .z4 import (FrequencyVector, GeneratorSpec, _codewords, _gray_cells,
-                 build_design, cell_digits, cell_index, frequency_vector,
+                    WordSpectrum, _popcount, spectrum_bruteforce, summarize,
+                    word_length_limit)
+from .z4 import (LEE_WEIGHTS, FrequencyVector, GeneratorSpec, build_design,
+                 cell_digits, cell_index, frequency_vector,
                  generator_for_frequency)
 
-#: refuse searches priced above this much work: one oracle transform of
-#: 2^factors cells per multiset of pair classes, before any folding by
-#: the column group (search(5, 3) prices at 3.8e10 and ranks in minutes)
-WORK_BUDGET = 10 ** 11
+#: refuse searches priced above this much work: the column operations
+#: applied to canonicalize every multiset of pair classes (search(6, 3)
+#: prices at 1.8e8 and ranks in well under a minute; search(7, 3) at 1.1e9)
+WORK_BUDGET = 2 * 10 ** 8
 
 #: multisets of pair classes canonicalized per numpy step
 _ENUM_CHUNK = 8192
-
-#: transform cells per batch of representatives handed to the scorer, so
-#: the oracle's buffers stay bounded as designs widen (at n = 5, p = 3 a
-#: batch of 1024 designs would hold three 128 MiB transform buffers)
-_BATCH_CELLS = 2 ** 24
 
 
 class PreconditionError(ValueError):
@@ -58,11 +54,24 @@ _PRECONDITION_MASK = np.array(
 
 
 @functools.cache
+def _lee_dot(p: int) -> np.ndarray:
+    """(4^p, 4^p - 1) uint8: Lee(v.w mod 4) for every cell v and every
+    nonzero w (column w - 1), the Lee length that a row v of V adds to
+    the dual word (w, -Vw)."""
+    digits = cell_digits(np.arange(4 ** p), p).astype(np.uint8)
+    return np.array(LEE_WEIGHTS, dtype=np.uint8)[digits @ digits[1:].T & 3]
+
+
+@functools.cache
 def _system_arrays(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """C and B of `build_system(p)` as int64 arrays, built once per p."""
-    sysm = build_system(p)
-    return (np.array(sysm.c_matrix(), dtype=np.int64),
-            np.array(sysm.b_matrix(), dtype=np.int64))
+    """C and B of `build_system(p)` as int64 arrays, built once per p
+    without assembling the system: row w of C is Lee(v.w) over the cells
+    v, for each canonical wordtype w, and row pi of B is the parity of
+    v.pi, for each parity class pi."""
+    kinds = cell_index(np.array(canonical_wordtypes(p)))
+    c = _lee_dot(p).T[kinds - 1].astype(np.int64)
+    b = cell_digits(np.arange(4 ** p), p) @ np.array(parity_classes(p)).T
+    return c, np.ascontiguousarray((b % 2).T)
 
 
 #: the p = 3 closed form's tables, built once
@@ -88,10 +97,9 @@ class TheoryEvaluation:
 
 def evaluate(f: FrequencyVector, system: EquationSystem | None = None
              ) -> TheoryEvaluation:
-    sysm = system or build_system(f.p)
-    if sysm.p != f.p:
-        raise ValueError(f"system is for p={sysm.p}, vector for p={f.p}")
-    c, b = _system_arrays(sysm.p)
+    if system is not None and system.p != f.p:
+        raise ValueError(f"system is for p={system.p}, vector for p={f.p}")
+    c, b = _system_arrays(f.p)
     fv = np.asarray(f.counts, dtype=np.int64)
     k, a = c @ fv, b @ fv
     return TheoryEvaluation(f.p, tuple(int(x) for x in k),
@@ -99,7 +107,7 @@ def evaluate(f: FrequencyVector, system: EquationSystem | None = None
 
 
 def parity_class_sums(f: FrequencyVector) -> dict[tuple[int, ...], int]:
-    return dict(zip(build_system(f.p).a_order, evaluate(f).a_values))
+    return dict(zip(parity_classes(f.p), evaluate(f).a_values))
 
 
 def precondition_sums(f: FrequencyVector) -> dict[tuple[int, ...], int]:
@@ -336,9 +344,9 @@ def _pair_classes(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def search_work(n: int, p: int) -> int:
     """The work `search` is priced at: the multisets of n pair classes,
-    each scored by a transform of 2^(2n + 2p) cells."""
-    classes = len(_pair_classes(p)[0])
-    return comb(n + classes - 1, n) * 2 ** (2 * n + 2 * p)
+    each canonicalized through the p! * 2^p column operations."""
+    low, _, action = _pair_classes(p)
+    return comb(n + len(low) - 1, n) * len(action)
 
 
 def _orbit_representatives(n: int, p: int):
@@ -374,15 +382,10 @@ def _ranked_orbits(n: int, p: int, criterion: str
     orbit shares the key of its representative, whose rows are the low
     cells of its classes."""
     low = _pair_classes(p)[0]
-    step = max(1, min(1024, _BATCH_CELLS >> (2 * n + 2 * p)))
     ranked = []
     for reps, members in _orbit_representatives(n, p):
-        for lo in range(0, len(reps), step):
-            part = reps[lo:lo + step]
-            keys = _keys(_oracle_profiles(low[part], p, criterion),
-                         n, p, criterion)
-            ranked += zip(keys, map(tuple, part.tolist()),
-                          members[lo:lo + step].tolist())
+        ranked += zip(_dual_keys(low[reps], p, criterion),
+                      map(tuple, reps.tolist()), members.tolist())
     ranked.sort(key=lambda orbit: orbit[0])
     return ranked
 
@@ -433,17 +436,19 @@ def search(n: int, p: int, criterion: str = "max_resolution",
     one orbit at a time: one representative per orbit of the multisets
     of pair classes under the column group (758 orbits for the 43,680
     candidates of search(3, 3), 5,694 for the 720,720 of search(4, 3)).
-    Every representative is scored by a batched Walsh-Hadamard scan,
-    whose per-size profile one key builder turns into the exact ranking
-    key; the p = 3 closed form rarely applies to a representative, and
-    serves only the reports of the winners.  Only the orbits that reach
-    the top `top` are expanded into frequency vectors.
+    Every representative is scored by the dual closed form, from the Lee
+    lengths and Gauss-sum exponents of its 4^p - 1 nonzero dual words
+    (`_dual_keys`); no design is built to rank.  Only the orbits that
+    reach the top `top` are expanded into frequency vectors, and only
+    the winners' reports are computed: by the p = 3 closed form where
+    its preconditions hold, else by the Walsh-Hadamard oracle.
 
     The work is priced before any scoring (`search_work`: pair-class
-    multisets times 2^factors transform cells) and refused above
-    `WORK_BUDGET` unless forced; search(5, 3) is within it.  Designs
-    past the oracle's 24-factor transform limit are refused even when
-    forced, since the transform cannot score them.
+    multisets times the p! * 2^p column operations that canonicalize
+    each) and refused above `WORK_BUDGET` unless forced; search(6, 3) is
+    within it.  Designs past the oracle's 24-factor transform limit are
+    refused even when forced, since the winners' reports need the
+    transform.
     """
     if criterion not in ("max_resolution", "gma"):
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -461,7 +466,7 @@ def search(n: int, p: int, criterion: str = "max_resolution",
     if work > WORK_BUDGET and not force:
         raise BudgetExceeded(
             f"search over n = {n}, p = {p} is priced at {work:.2e} "
-            f"transform cells, over the budget {WORK_BUDGET:.0e}; pass "
+            f"column operations, over the budget {WORK_BUDGET:.0e}; pass "
             "force to run anyway")
     return [(f, _report_for_frequency(f))
             for f in _best_frequencies(n, p, criterion, top)]
@@ -474,27 +479,67 @@ def _report_for_frequency(f: FrequencyVector) -> TheoryReport:
     return analyze(g, method="bruteforce", force=True)
 
 
-def _oracle_profiles(rows: np.ndarray, p: int, criterion: str
-                     ) -> np.ndarray:
-    """The per-size profile of each candidate from the batched oracle:
-    the Gray image of its code, through `jchar`'s masks and transform."""
-    return _size_profiles(_gray_cells(_codewords(cell_digits(rows, p))),
-                          squared=criterion == "gma")
+def _row_counts(values: np.ndarray, width: int) -> np.ndarray:
+    """(rows, width): how often each of 0..width-1 occurs in each row of
+    a (rows, m) array of ints in that range."""
+    offsets = values + width * np.arange(len(values))[:, None]
+    return np.bincount(offsets.ravel(), minlength=width * len(values)
+                       ).reshape(-1, width)
 
 
-def _keys(prof: np.ndarray, n: int, p: int, criterion: str) -> list:
-    """Exact minimize-oriented ranking key per row of a per-size profile:
-    (-r, -e) for max_resolution, so that deeper resolution sorts first,
-    or for gma the GWLP vector scaled by runs^2, compared ascending."""
-    if criterion == "gma":
-        return [tuple(key) for key in prof.tolist()]
-    found = prof > 0
-    worded, size = found.any(axis=1), found.argmax(axis=1)
-    top = prof[np.arange(len(prof)), size]
-    if (top & (top - 1)).any():
+def _half_excess(excess: np.ndarray) -> np.ndarray:
+    """e = (k - d - r) / 2, the exponent of rho = 2^-e; an odd or a
+    negative k - d - r would make rho non-dyadic or above 1."""
+    if ((excess < 0) | (excess & 1 == 1)).any():
         raise AssertionError(
             "non-dyadic aliasing index in a quaternary-code design")
-    # rho = top / runs = 2^-e, and log2(top) is the popcount of top - 1
-    e = np.where(worded, 2 * n - _popcount(top - 1).astype(np.int64), 0)
-    r = np.where(worded, size + 3, 2 * n + 2 * p + 1)
-    return list(zip((-r).tolist(), (-e).tolist()))
+    return excess >> 1
+
+
+def _dual_keys(rows: np.ndarray, p: int, criterion: str) -> list:
+    """Exact minimize-oriented ranking key per row of a (batch, n) array
+    of cells, each row the multiset of V's row patterns: (-L, -e) for
+    max_resolution, L the least word length and 2^-e the largest
+    aliasing index at L, so that deeper resolution sorts first; or for
+    gma the GWLP vector scaled by runs^2, compared ascending.
+
+    Each nonzero w in Z4^p gives the dual word (w, -Vw) of Lee length
+    L_w = Lee(w) + sum_v F_v Lee(v.w), and carries 2^(k-d-r) words of
+    that length in the binary design, each of aliasing index 2^-e with
+    e = (k - d - r) / 2 (a binary Gauss sum; Hammons, Kumar, Calderbank,
+    Sloane and Sole, IEEE Trans. IT 1994).  With pi = w mod 2 and m_u
+    the mass on the cells of parity u: k = |pi| + sum_u m_u dot(u, pi);
+    d is the dimension of D_pi, the delta inside pi with dot(u, delta)
+    even for every u of mass with dot(u, pi) even; and r that of the
+    radical on D_pi of the form dot(delta, delta') + sum_u m_u
+    dot(u, delta) dot(u, delta') mod 2.  So A_k = #{w != 0 : L_w = k}.
+    """
+    n = rows.shape[1]
+    factors = 2 * n + 2 * p
+    words = cell_digits(np.arange(1, 4 ** p), p)
+    lengths = (np.take(LEE_WEIGHTS, words).sum(axis=1)
+               + _lee_dot(p)[rows].sum(axis=1, dtype=np.int64))
+    if criterion == "gma":
+        runs2 = 16 ** n
+        counts = _row_counts(lengths, factors + 1)[:, 3:]
+        return [tuple(c * runs2 for c in key) for key in counts.tolist()]
+    # a parity pattern is an int whose bit i is the parity of digit i
+    bits, pats = 1 << np.arange(p), np.arange(2 ** p)
+    dot = (_popcount(pats[:, None] & pats) & 1).astype(np.int64)
+    mass = _row_counts((cell_digits(rows, p) & 1) @ bits, 2 ** p)
+    k = _popcount(pats) + mass @ dot
+    # delta leaves D_pi when a cell u of mass has dot(u, pi) even and
+    # dot(u, delta) odd
+    inside = ((pats & ~pats[:, None] == 0)
+              & (np.einsum("bu,up,ud->bpd", mass, 1 - dot, dot) == 0))
+    form = (dot + np.einsum("bu,ud,ue->bde", mass & 1, dot, dot)) & 1
+    radical = inside & (inside.astype(np.int64) @ form == 0)
+    # a GF(2) space of size 2^d has d = popcount(2^d - 1)
+    excess = (k - _popcount(inside.sum(axis=2) - 1)
+              - _popcount(radical.sum(axis=2) - 1))
+    e = np.take(_half_excess(excess), (words & 1) @ bits, axis=1)
+    short = np.where(lengths >= 3, lengths, factors + 1)
+    least = short.min(axis=1)
+    e = np.where(short == least[:, None], e, factors).min(axis=1)
+    e = np.where(least > factors, 0, e)
+    return list(zip((-least).tolist(), (-e).tolist()))

@@ -111,7 +111,9 @@ def cell_digits(index, p: int) -> np.ndarray:
     """The base-4 cell codec: the (..., p) digits of cell indexes, most
     significant first, the order of the frequency-vector cells.  Indexes
     are int64, so p is at most 31."""
-    return (np.asarray(index)[..., None] >> _SHIFTS[-p:]) & 3
+    digits = np.asarray(index)[..., None] >> _SHIFTS[-p:]
+    digits &= 3
+    return digits
 
 
 def cell_index(digits) -> np.ndarray:
@@ -121,32 +123,20 @@ def cell_index(digits) -> np.ndarray:
 
 
 def codewords(g: GeneratorSpec) -> np.ndarray:
-    """All 4^n codewords t @ (V, I_n) mod 4, ordered by base-4 value of t."""
+    """All 4^n codewords t @ (V, I_n) mod 4, ordered by base-4 value of t,
+    as uint8 (t @ V may wrap mod 256, which keeps it mod 4)."""
     if g.n > MAX_N:
         raise BudgetExceeded(
             f"n={g.n} exceeds the materialization cap of {MAX_N}; "
             "use the closed-form path for larger generators")
-    return _codewords(np.array(g.V, dtype=np.int64))
-
-
-def _codewords(V: np.ndarray) -> np.ndarray:
-    """Codewords of each V in a (..., n, p) stack, as `codewords` orders them."""
-    n = V.shape[-2]
-    t = cell_digits(np.arange(4 ** n), n)
-    left = (t @ V) % 4
-    return np.concatenate(
-        [left, np.broadcast_to(t, left.shape[:-1] + (n,))], axis=-1)
-
-
-def _gray_cells(words: np.ndarray) -> np.ndarray:
-    """Gray image of (..., runs, m) codewords: (..., runs, 2m) +/-1 int8."""
-    gray = np.array(_GRAY, dtype=np.int8)  # 4 x 2
-    return gray[words].reshape(words.shape[:-1] + (2 * words.shape[-1],))
+    t = cell_digits(np.arange(4 ** g.n), g.n).astype(np.uint8)
+    return np.concatenate([t @ np.array(g.V, dtype=np.uint8) % 4, t], axis=1)
 
 
 def build_design(g: GeneratorSpec) -> BinaryDesign:
     """Gray image of the full code: 2^(2n) runs, 2(n+p) factors."""
-    cells = _gray_cells(codewords(g))
+    words = codewords(g)
+    cells = np.array(_GRAY, dtype=np.int8)[words].reshape(len(words), -1)
     return BinaryDesign(*cells.shape, cells)
 
 

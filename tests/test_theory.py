@@ -18,11 +18,12 @@ from qcode import (FrequencyVector, GeneratorSpec, PreconditionError,
                    parity_class_sums, periodic_extend, precondition_sums,
                    preconditions_met, search, spectrum_bruteforce,
                    summarize, theory_spectrum)
-from qcode.equations import cells
-from qcode.theory import (WORK_BUDGET, _best_frequencies, _keys,
-                          _oracle_profiles, _orbit_frequencies,
-                          _orbit_representatives, _ranked_orbits,
-                          _system_arrays, search_work)
+from qcode.equations import build_system, cells
+from qcode.theory import (WORK_BUDGET, _best_frequencies, _dual_keys,
+                          _half_excess, _orbit_frequencies,
+                          _orbit_representatives, _pair_classes,
+                          _ranked_orbits, _system_arrays, search_work)
+from qcode.z4 import LEE_WEIGHTS
 
 HALF = Fraction(1, 2)
 
@@ -140,6 +141,19 @@ def test_evaluate_arrays_built_once_per_p(f256):
     assert c3 is _system_arrays(3)[0]
     assert _system_arrays(2)[0] is _system_arrays(2)[0]
     assert evaluate(f256).k_values == tuple((c3 @ f256.counts).tolist())
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_system_arrays_match_the_assembled_system(p):
+    """C and B read off the Lee(v.w) table equal the rows that the
+    equation system assembles by its moves, and each canonical
+    wordtype's constant is its Lee weight."""
+    sysm = build_system(p)
+    c, b = _system_arrays(p)
+    assert (c == np.array(sysm.c_matrix())).all()
+    assert (b == np.array(sysm.b_matrix())).all()
+    assert sysm.constants == tuple(sum(LEE_WEIGHTS[x] for x in w)
+                                   for w in sysm.k_order)
 
 
 def test_analyze_small_p_both(rng):
@@ -295,8 +309,9 @@ def test_search_budget_guard():
 
 @pytest.mark.parametrize("force", [False, True])
 def test_search_refuses_designs_past_the_transform_limit(monkeypatch, force):
-    # 26 factors: priced far under WORK_BUDGET, but no scoring route
-    # exists there, so the refusal comes before any scoring, forced or not
+    # 26 factors: priced far under WORK_BUDGET and cheap to score, but the
+    # winners' reports need the 24-factor transform, so the refusal comes
+    # before any scoring, forced or not
     import qcode.theory as theory
     from qcode import BudgetExceeded
 
@@ -310,8 +325,11 @@ def test_search_refuses_designs_past_the_transform_limit(monkeypatch, force):
 
 
 def test_search_5_3_priced_within_budget():
-    # priced only: the search itself takes about a minute per criterion
-    assert search_work(5, 3) == comb(39, 5) * 2 ** 16 <= WORK_BUDGET
+    # priced only: multisets of the 35 pair classes times the 48 column
+    # operations that canonicalize each
+    assert search_work(5, 3) == comb(39, 5) * 48 <= WORK_BUDGET
+    assert search_work(6, 3) == comb(40, 6) * 48 <= WORK_BUDGET
+    assert search_work(7, 3) == comb(41, 7) * 48 > WORK_BUDGET
     assert search_work(9, 3) > WORK_BUDGET
 
 
@@ -337,8 +355,15 @@ def test_search_rejects_bad_arguments():
 def _key_from_summary(counts, p, criterion):
     """Search key of one F through build_design -> spectrum_bruteforce ->
     summarize, the single-design oracle."""
+    return _key(*_summary(counts, p), criterion)
+
+
+def _summary(counts, p):
     d = build_design(generator_for_frequency(FrequencyVector(p, counts)))
-    summary = summarize(spectrum_bruteforce(d, d.factors), d.factors)
+    return d, summarize(spectrum_bruteforce(d, d.factors), d.factors)
+
+
+def _key(d, summary, criterion):
     if criterion == "gma":
         assert all((a * d.runs ** 2).denominator == 1 for a in summary.gwlp)
         return tuple(int(a * d.runs ** 2) for a in summary.gwlp)
@@ -357,9 +382,9 @@ _MIXED_CELLS = [[i for i, c in enumerate(cells(3))
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_batched_oracle_keys_match_single_design(data):
-    """Search's batched oracle profiles, through `_keys`, against the
-    single-design oracle; the p = 3 mixed-class draws put mass on every
-    mixed parity class, where the closed form would also apply."""
+    """Search's batched dual closed-form keys against the single-design
+    oracle; the p = 3 mixed-class draws put mass on every mixed parity
+    class, where the paper's closed form would also apply."""
     closed = data.draw(st.booleans(), label="closed form")
     if closed:
         p, n = 3, data.draw(st.integers(3, 4), label="n")
@@ -377,24 +402,51 @@ def test_batched_oracle_keys_match_single_design(data):
     for criterion in ("max_resolution", "gma"):
         want = [_key_from_summary(tuple(f), p, criterion)
                 for f in fmat.tolist()]
-        prof = _oracle_profiles(rows, p, criterion)
-        assert _keys(prof, n, p, criterion) == want
+        assert _dual_keys(rows, p, criterion) == want
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("criterion", ["max_resolution", "gma"])
 def test_oracle_profiles_of_an_empty_batch(p, criterion):
-    n = 3
-    prof = _oracle_profiles(np.zeros((0, n), dtype=np.intp), p, criterion)
-    assert prof.shape == (0, 2 * n + 2 * p - 2)
-    assert _keys(prof, n, p, criterion) == []
+    """A chunk of orbit representatives can hold no canonical row."""
+    assert _dual_keys(np.zeros((0, 3), dtype=np.intp), p, criterion) == []
 
 
 def test_keys_reject_a_non_dyadic_index():
-    """A largest |j| of 3 at n = 1 would be rho = 3/4; the check is a
-    raise, so it holds under `python -O` too."""
-    with pytest.raises(AssertionError, match="non-dyadic"):
-        _keys(np.array([[0, 3, 0, 0]]), 1, 2, "max_resolution")
+    """An odd k - d - r would make rho an odd power of 2^-1/2, and a
+    negative one rho > 1; the check is a raise, so it holds under
+    `python -O` too."""
+    assert _half_excess(np.array([[0, 2, 6]])).tolist() == [[0, 1, 3]]
+    for bad in ([[0, 3, 0]], [[2, -2, 0]]):
+        with pytest.raises(AssertionError, match="non-dyadic"):
+            _half_excess(np.array(bad))
+
+
+@pytest.mark.parametrize("p, most", [(1, 6), (2, 4), (3, 3)])
+def test_dual_keys_match_single_design_on_every_orbit(p, most):
+    """Every orbit representative search scores, under both criteria,
+    against the single-design oracle."""
+    low = _pair_classes(p)[0]
+    for n in range(1, most + 1):
+        for reps, _ in _orbit_representatives(n, p):
+            rows = low[reps]
+            fmat = np.zeros((len(rows), 4 ** p), dtype=np.int64)
+            np.add.at(fmat, (np.arange(len(rows))[:, None], rows), 1)
+            summaries = [_summary(tuple(f), p) for f in fmat.tolist()]
+            for criterion in ("max_resolution", "gma"):
+                want = [_key(d, s, criterion) for d, s in summaries]
+                assert _dual_keys(rows, p, criterion) == want
+
+
+@pytest.mark.parametrize("p, n", [(4, 1), (4, 2), (5, 1), (6, 1)])
+def test_dual_keys_match_single_design_past_p3(rng, p, n):
+    """The scorer is written for every p; sampled above search's p = 3."""
+    rows = np.sort(rng.integers(0, 4 ** p, (12, n)), axis=1)
+    for criterion in ("max_resolution", "gma"):
+        want = [_key_from_summary(tuple(np.bincount(r, minlength=4 ** p)
+                                        .tolist()), p, criterion)
+                for r in rows]
+        assert _dual_keys(rows, p, criterion) == want
 
 
 def _spectrum(V, p):
@@ -444,11 +496,7 @@ def test_orbit_ranking_expands_to_full_ranking(n, p):
     fmat = np.zeros((len(rows), 4 ** p), dtype=np.int64)
     np.add.at(fmat, (np.arange(len(rows))[:, None], rows), 1)
     for criterion in ("max_resolution", "gma"):
-        # scored in batches of the size search uses, so the oracle's
-        # buffers stay bounded
-        keys = [key for lo in range(0, len(rows), 1024)
-                for key in _keys(_oracle_profiles(rows[lo:lo + 1024], p,
-                                                  criterion), n, p, criterion)]
+        keys = _dual_keys(rows, p, criterion)
         want = sorted(zip(keys, map(tuple, fmat.tolist())))
         ranked = _ranked_orbits(n, p, criterion)
         assert [k for k, _, _ in ranked] == sorted(k for k, _, _ in ranked)
