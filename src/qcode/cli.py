@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .equations import build_system
@@ -40,8 +41,57 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
 def _json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """`json.dumps(payload, indent=2) + "\n"`, byte for byte, for what the
+    CLI emits: str-keyed dicts, lists, tuples, str, int, bool and None.
+    With an indent the stdlib encodes in pure Python; this dispatches on
+    type and renders a list of plain ints in one join."""
+    out = []
+    _render(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _render(obj, pad: str, out: list) -> None:
+    """Append the chunks of `obj`, whose lines continue after `pad`."""
+    kind = type(obj)
+    if kind is str:
+        out.append(encode_basestring_ascii(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif obj is None or kind is bool:
+        out.append(_LITERALS[obj])
+    elif kind is list or kind is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        if set(map(type, obj)) == {int}:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj))
+                       + pad + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _render(item, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _render(value, inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    else:
+        raise TypeError(f"{kind.__name__} is not rendered as JSON")
 
 
 def _spectrum_rows(spec: WordSpectrum) -> list[dict]:
@@ -118,11 +168,11 @@ def cmd_matrices(args) -> int:
     payload = {
         "p": args.p,
         "K_order": [wordtype_str(w) for w in sysm.k_order],
-        "constants": list(sysm.constants),
-        "C": [list(r) for r in sysm.c_matrix()],
+        "constants": sysm.constants,
+        "C": sysm.c_matrix(),
         "A_order": [wordtype_str(pi) for pi in sysm.a_order],
-        "deltas": list(sysm.deltas),
-        "B": [list(r) for r in sysm.b_matrix()],
+        "deltas": sysm.deltas,
+        "B": sysm.b_matrix(),
     }
     if args.format == "text":
         lines = [f"p={args.p}"]
@@ -196,7 +246,7 @@ def cmd_extend(args) -> int:
     f0 = _load_frequency(args.input)
     fam = periodic_extend(f0, args.t)
     if args.output:
-        Path(args.output).write_text(_json(list(fam.extended.counts)))
+        Path(args.output).write_text(_json(fam.extended.counts))
     payload = {
         "t": fam.t,
         "predicted_r": fam.predicted_r,

@@ -35,6 +35,9 @@ _WHT_MAX_FACTORS = 24
 #: runs per block of `negation_masks`
 _MASK_RUNS = 1 << 16
 
+#: most factors an int64 negation mask holds
+_MASK_MAX_FACTORS = 63
+
 
 def _check_subset(d: BinaryDesign, indices) -> tuple[int, ...]:
     idx = tuple(indices)
@@ -145,7 +148,11 @@ def _popcount(a: np.ndarray) -> np.ndarray:
 
 def negation_masks(d: BinaryDesign) -> np.ndarray:
     """Per-run bitmask of columns holding -1 (bit i = column i+1), made
-    2^16 runs at a time, so the int64 copy of the cells stays small."""
+    2^16 runs at a time, so the int64 copy of the cells stays small.
+    The masks are int64, so at most 63 factors fit."""
+    if d.factors > _MASK_MAX_FACTORS:
+        raise ValueError(f"negation masks hold at most {_MASK_MAX_FACTORS} "
+                         f"factors, got {d.factors}")
     weights = 1 << np.arange(d.factors)
     return np.concatenate([(d.cells[lo:lo + _MASK_RUNS] < 0).astype(np.int64)
                            @ weights for lo in range(0, d.runs, _MASK_RUNS)])

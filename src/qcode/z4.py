@@ -129,8 +129,19 @@ def codewords(g: GeneratorSpec) -> np.ndarray:
         raise BudgetExceeded(
             f"n={g.n} exceeds the materialization cap of {MAX_N}; "
             "use the closed-form path for larger generators")
-    t = cell_digits(np.arange(4 ** g.n), g.n).astype(np.uint8)
-    return np.concatenate([t @ np.array(g.V, dtype=np.uint8) % 4, t], axis=1)
+    # t's digits one column at a time, from a uint32 index (4^12 = 2^24),
+    # so no (4^n, n) int64 digit array is ever made
+    index = np.arange(4 ** g.n, dtype=np.uint32)
+    words = np.empty((len(index), g.p + g.n), dtype=np.uint8)
+    digit = np.empty_like(index)
+    for j in range(g.n):
+        np.right_shift(index, 2 * (g.n - 1 - j), out=digit)
+        digit &= 3
+        words[:, g.p + j] = digit
+    V = np.array(g.V, dtype=np.uint8)
+    np.matmul(words[:, g.p:], V, out=words[:, :g.p])
+    words[:, :g.p] &= 3
+    return words
 
 
 def build_design(g: GeneratorSpec) -> BinaryDesign:

@@ -7,10 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcode
 from conftest import miscount_scan, tamper_design_256x14
-from qcode.cli import main
+from qcode.cli import _json, main
+from qcode.equations import build_system
+from qcode.golden import wordtype_str
 
 
 @pytest.fixture
@@ -96,6 +100,45 @@ def test_matrices_pinned_p1(capsys):
     assert payload["B"] == [[0, 1, 0, 1]]
     assert payload["K_order"] == ["1", "2"]
     assert payload["deltas"] == [0]
+
+
+#: quotes, backslashes, control characters, non-ASCII (a lone surrogate
+#: and an astral emoji too), and anything else
+TEXT = st.text(st.sampled_from('"\\/\x00\x1f\n\t\x7f\u00e9\u2028'
+                               '\ud83d\U0001f600') | st.characters(),
+               max_size=6)
+JSON_LEAF = (st.integers() | st.integers(2 ** 63 - 2, 2 ** 70)
+             | st.integers(-2 ** 70, -2 ** 63 + 1) | st.booleans() | st.none()
+             | TEXT | st.lists(st.integers() | st.booleans(), max_size=5))
+JSON_VALUE = st.recursive(
+    JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUE)
+def test_json_writer_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_matrices_json_matches_json_dumps(capsys, p):
+    sysm = build_system(p)
+    payload = {
+        "p": p,
+        "K_order": [wordtype_str(w) for w in sysm.k_order],
+        "constants": sysm.constants,
+        "C": sysm.c_matrix(),
+        "A_order": [wordtype_str(pi) for pi in sysm.a_order],
+        "deltas": sysm.deltas,
+        "B": sysm.b_matrix(),
+    }
+    code, out, _ = run(capsys, "matrices", "--p", p)
+    assert code == 0
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_verify_clean(capsys):

@@ -1,4 +1,5 @@
-"""Byte-for-byte CLI output: sha256 digests of stdout for a fixed corpus.
+"""Byte-for-byte CLI output: sha256 digests of stdout for a fixed corpus,
+and of the --output file where that is where the result goes.
 
 The digests were recorded before the search oracle was folded into
 `jchar` and `analyze` moved to one evaluation, and the two
@@ -10,7 +11,10 @@ minutes each then).  The `matrices --p 4` and `--p 5` ones, which no
 frozen data covers, were recorded before the equation moves became
 array operations on the digit grid.  The two `--max-length 8` ones, a
 clip that keeps lengths 6 and 8, were recorded while the closed form
-still built its full spectrum and then copied the clipped part.  Any
+still built its full spectrum and then copied the clipped part.  The
+`matrices --p 4` and `--p 5` text ones and the `extend --output` file
+one were recorded while the CLI still rendered JSON through
+`json.dumps(..., indent=2)`, before its own writer replaced it.  Any
 refactor that keeps the outputs keeps them.
 To re-record after an intended output change, run
 `python tests/test_cli_corpus.py` and paste what it prints.
@@ -31,7 +35,8 @@ from qcode.cli import main
 CORPUS = (
     *(("matrices", "--p", p, "--format", fmt)
       for p in (1, 2, 3) for fmt in ("json", "text")),
-    *(("matrices", "--p", p, "--format", "json") for p in (4, 5)),
+    *(("matrices", "--p", p, "--format", fmt)
+      for p in (4, 5) for fmt in ("json", "text")),
     *(("analyze", "--input", "{gen}", "--method", m)
       for m in ("theory", "bruteforce", "both")),
     ("analyze", "--input", "{gen}", "--method", "theory", "--max-length", 8,
@@ -43,6 +48,11 @@ CORPUS = (
       for c in ("max_resolution", "gma")),
     ("verify",),
     ("extend", "--input", "{freq}", "--t", 1),
+)
+
+#: invocations whose --output file is hashed, not their stdout
+FILE_CORPUS = (
+    ("extend", "--input", "{freq}", "--t", 1, "--output", "{out}"),
 )
 
 DIGESTS = {
@@ -60,8 +70,12 @@ DIGESTS = {
         "00c8d7f38c227ce9657f28839eac5c0c832d1106af9792bd8daa4ca7d6785cff",
     "matrices --p 4 --format json":
         "be670ce9fdee32ef13b6ce8ae8dc913050f27e2376ceacab2ab8f0a1d0dd8234",
+    "matrices --p 4 --format text":
+        "0aea1299a9345df6512a9e0ea9b17b7d17f1d773503a516870ad9e3058fa168d",
     "matrices --p 5 --format json":
         "2cd33211fb14565b420ed41c642e0d4a2a58d52f1e64f328a5239ea4a844d61a",
+    "matrices --p 5 --format text":
+        "dd52e0af5f7aa1a62e415eb59098152e8c71140180bc0b5ee1967b2d06b4f763",
     "analyze --input {gen} --method theory":
         "25955ea99e43e281cee1ae729c885afdc04e0d8f1fe2fa728f51479fedb2324b",
     "analyze --input {gen} --method bruteforce":
@@ -96,6 +110,11 @@ DIGESTS = {
         "322af31c430d9bbbf8e64113d55d25a812c45beb72cfc778a6f36918c2dd5f11",
 }
 
+FILE_DIGESTS = {
+    "extend --input {freq} --t 1 --output {out}":
+        "9c88aaaa2870a7f74e5ce49694b9429ea30e9667e46ad8cc5fc29cc60b611ea5",
+}
+
 
 def write_inputs(folder: Path) -> dict:
     d4 = load_examples()["design_256x14"]
@@ -105,7 +124,7 @@ def write_inputs(folder: Path) -> dict:
     for c in d4["F_one_cells"]:
         counts[c] = 1
     freq.write_text(json.dumps(counts))
-    return {"gen": str(gen), "freq": str(freq)}
+    return {"gen": str(gen), "freq": str(freq), "out": str(folder / "out")}
 
 
 def digest(argv, paths: dict) -> tuple[int, str]:
@@ -113,6 +132,11 @@ def digest(argv, paths: dict) -> tuple[int, str]:
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = main(args)
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def file_digest(argv, paths: dict) -> tuple[int, str]:
+    code, _ = digest(argv, paths)
+    return code, hashlib.sha256(Path(paths["out"]).read_bytes()).hexdigest()
 
 
 def label(argv) -> str:
@@ -126,11 +150,18 @@ def test_cli_stdout_digest(tmp_path, argv):
     assert got == DIGESTS[label(argv)]
 
 
+@pytest.mark.parametrize("argv", FILE_CORPUS, ids=label)
+def test_cli_output_file_digest(tmp_path, argv):
+    code, got = file_digest(argv, write_inputs(tmp_path))
+    assert code == 0
+    assert got == FILE_DIGESTS[label(argv)]
+
+
 if __name__ == "__main__":
     import tempfile
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = write_inputs(Path(tmp))
-        for argv in CORPUS:
-            code, got = digest(argv, paths)
+    for corpus, how in ((CORPUS, digest), (FILE_CORPUS, file_digest)):
+        for argv in corpus:
+            with tempfile.TemporaryDirectory() as tmp:
+                code, got = how(argv, write_inputs(Path(tmp)))
             assert code == 0, (argv, code)
             sys.stdout.write(f'    "{label(argv)}":\n        "{got}",\n')

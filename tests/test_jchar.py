@@ -174,6 +174,18 @@ def test_negation_masks_match_cells(d16x6):
             assert bool((masks[r] >> c) & 1) == (cells[r, c] == -1)
 
 
+def test_negation_masks_stop_at_63_factors():
+    # 62 factors fit the int64 masks exactly; 64 would wrap, so they refuse
+    wide = build_design(GeneratorSpec(1, 30, ((1, 2, 3) * 10,)))
+    exact = [sum(1 << c for c in range(wide.factors) if row[c] < 0)
+             for row in np.asarray(wide.cells).tolist()]
+    assert negation_masks(wide).tolist() == exact
+    too_wide = build_design(GeneratorSpec(1, 31, ((1, 2, 3) * 10 + (1,),)))
+    assert (too_wide.runs, too_wide.factors) == (4, 64)
+    with pytest.raises(ValueError, match="at most 63 factors, got 64"):
+        negation_masks(too_wide)
+
+
 def test_dfs_agrees_with_wht(rng):
     for _ in range(3):
         d = build_design(random_generator(rng, 2, 2))

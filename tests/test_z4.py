@@ -59,6 +59,16 @@ def test_codewords_count_and_zero_row(rng):
     assert words[0].tolist() == [0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("n, p", [(1, 1), (2, 3), (3, 6), (5, 2), (8, 4)])
+def test_codewords_are_uint8_and_match_the_cell_codec(rng, n, p):
+    g = random_generator(rng, n, p)
+    t = cell_digits(np.arange(4 ** n), n)
+    expect = np.concatenate([t @ np.array(g.V) % 4, t], axis=1)
+    words = codewords(g)
+    assert words.dtype == np.uint8
+    assert (words == expect).all()
+
+
 def test_build_design_shape_and_values():
     g = GeneratorSpec(2, 1, ((1,), (3,)))
     d = build_design(g)
