@@ -50,46 +50,62 @@ def _json(payload) -> str:
     With an indent the stdlib encodes in pure Python; this dispatches on
     type and renders a list of plain ints in one join."""
     out = []
-    _render(payload, "\n", out)
+    _render(payload, "\n", out.append)
     out.append("\n")
     return "".join(out)
 
 
-def _render(obj, pad: str, out: list) -> None:
-    """Append the chunks of `obj`, whose lines continue after `pad`."""
+def _write_json(path, payload) -> None:
+    """Write `_json(payload)` to `path` one chunk at a time, so a large
+    payload (`matrices --p 5`: 5 MB) is never held whole as str or bytes."""
+    with Path(path).open("w") as fh:
+        _render(payload, "\n", fh.write)
+        fh.write("\n")
+
+
+def _emit_json(args, payload) -> None:
+    if args.output:
+        _write_json(args.output, payload)
+    else:
+        sys.stdout.write(_json(payload))
+
+
+def _render(obj, pad: str, emit) -> None:
+    """Pass the chunks of `obj`, whose lines continue after `pad`, to
+    `emit` in order."""
     kind = type(obj)
     if kind is str:
-        out.append(encode_basestring_ascii(obj))
+        emit(encode_basestring_ascii(obj))
     elif kind is int:
-        out.append(int.__repr__(obj))
+        emit(int.__repr__(obj))
     elif obj is None or kind is bool:
-        out.append(_LITERALS[obj])
+        emit(_LITERALS[obj])
     elif kind is list or kind is tuple:
         if not obj:
-            out.append("[]")
+            emit("[]")
             return
         inner = pad + "  "
         if set(map(type, obj)) == {int}:
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj))
-                       + pad + "]")
+            emit("[" + inner + ("," + inner).join(map(int.__repr__, obj))
+                 + pad + "]")
             return
         sep = "[" + inner
         for item in obj:
-            out.append(sep)
-            _render(item, inner, out)
+            emit(sep)
+            _render(item, inner, emit)
             sep = "," + inner
-        out.append(pad + "]")
+        emit(pad + "]")
     elif kind is dict:
         if not obj:
-            out.append("{}")
+            emit("{}")
             return
         inner = pad + "  "
         sep = "{" + inner
         for key, value in obj.items():
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _render(value, inner, out)
+            emit(sep + encode_basestring_ascii(key) + ": ")
+            _render(value, inner, emit)
             sep = "," + inner
-        out.append(pad + "}")
+        emit(pad + "}")
     else:
         raise TypeError(f"{kind.__name__} is not rendered as JSON")
 
@@ -159,7 +175,7 @@ def cmd_analyze(args) -> int:
     if args.format == "text":
         _emit(args, _report_text(payload, summary))
     else:
-        _emit(args, _json(payload))
+        _emit_json(args, payload)
     return EXIT_OK
 
 
@@ -186,7 +202,7 @@ def cmd_matrices(args) -> int:
                          + " ".join(map(str, row)))
         _emit(args, "\n".join(lines) + "\n")
     else:
-        _emit(args, _json(payload))
+        _emit_json(args, payload)
     return EXIT_OK
 
 
@@ -221,7 +237,7 @@ def cmd_search(args) -> int:
                          f"F={row['F']} V={row['witness_V']}")
         _emit(args, "\n".join(lines) + "\n")
     else:
-        _emit(args, _json(payload))
+        _emit_json(args, payload)
     return EXIT_OK
 
 
@@ -246,7 +262,7 @@ def cmd_extend(args) -> int:
     f0 = _load_frequency(args.input)
     fam = periodic_extend(f0, args.t)
     if args.output:
-        Path(args.output).write_text(_json(fam.extended.counts))
+        _write_json(args.output, fam.extended.counts)
     payload = {
         "t": fam.t,
         "predicted_r": fam.predicted_r,

@@ -125,7 +125,7 @@ def test_json_writer_matches_json_dumps(value):
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
-def test_matrices_json_matches_json_dumps(capsys, p):
+def test_matrices_json_matches_json_dumps(capsys, tmp_path, p):
     sysm = build_system(p)
     payload = {
         "p": p,
@@ -139,6 +139,11 @@ def test_matrices_json_matches_json_dumps(capsys, p):
     code, out, _ = run(capsys, "matrices", "--p", p)
     assert code == 0
     assert out == json.dumps(payload, indent=2) + "\n"
+    # the --output file is written chunk by chunk, to the same bytes
+    path = tmp_path / "m.json"
+    code, _, _ = run(capsys, "matrices", "--p", p, "--output", path)
+    assert code == 0
+    assert path.read_text() == out
 
 
 def test_verify_clean(capsys):
