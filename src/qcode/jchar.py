@@ -71,17 +71,19 @@ class WordSpectrum:
     entries: tuple[tuple[int, Fraction, int], ...]
 
     def __post_init__(self):
+        # checked on a Fraction's ints: its hash and comparisons are slow
         seen = set()
         for length, rho, count in self.entries:
             if length < 3:
                 raise ValueError(f"word length {length} below 3")
-            if not 0 < rho <= 1:
+            if not 0 < rho.numerator <= rho.denominator:
                 raise ValueError(f"aliasing index {rho} outside (0, 1]")
             if count < 1:
                 raise ValueError("counts must be positive")
-            if (length, rho) in seen:
+            cell = (length, rho.numerator, rho.denominator)
+            if cell in seen:
                 raise ValueError(f"duplicate spectrum cell {(length, rho)}")
-            seen.add((length, rho))
+            seen.add(cell)
         ordered = tuple(sorted(self.entries, key=lambda e: (e[0], -e[1])))
         object.__setattr__(self, "entries", ordered)
 

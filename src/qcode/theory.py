@@ -1,8 +1,9 @@
 """Closed-form aliasing analysis and frequency-vector search.
 
-The closed form turns a frequency vector straight into word counts,
-aliasing exponents and the word spectrum, without ever materializing
-the design.  Every result here can be cross-checked against the subset
+One closed form, the pass over the dual words (`_dual_words`), turns a
+frequency vector straight into the word spectrum without ever
+materializing the design; `analyze`, `periodic_extend` and `search` all
+read it.  Every result here can be cross-checked against the subset
 scan in `jchar`; `analyze(method="both")` does exactly that.
 """
 
@@ -17,11 +18,10 @@ from math import comb
 
 import numpy as np
 
-from .equations import (MAX_P, EquationSystem, build_system, cells,
-                        canonical_wordtypes, parity_classes)
-from .jchar import (_WHT_MAX_FACTORS, BudgetExceeded, DesignSummary,
-                    WordSpectrum, _popcount, spectrum_bruteforce, summarize,
-                    word_length_limit)
+from .equations import (MAX_P, EquationSystem, cells, canonical_wordtypes,
+                        parity_classes)
+from .jchar import (BudgetExceeded, DesignSummary, WordSpectrum, _popcount,
+                    spectrum_bruteforce, summarize, word_length_limit)
 from .z4 import (LEE_WEIGHTS, FrequencyVector, GeneratorSpec, build_design,
                  cell_digits, cell_index, frequency_vector,
                  generator_for_frequency)
@@ -34,9 +34,13 @@ WORK_BUDGET = 2 * 10 ** 8
 #: multisets of pair classes canonicalized per numpy step
 _ENUM_CHUNK = 8192
 
+#: rows of a row set gathered per numpy step: one large F gathers 4,159
+#: bytes a row at p = 6
+_TERM_ROWS = 4096
+
 
 class PreconditionError(ValueError):
-    """The closed-form spectrum does not cover this frequency vector."""
+    """The paper's p = 3 closed form does not cover this frequency vector."""
 
 
 class SpectrumMismatch(RuntimeError):
@@ -44,7 +48,7 @@ class SpectrumMismatch(RuntimeError):
 
 
 #: parity patterns whose frequency mass must be positive for the
-#: closed-form spectrum: one even position, the other two odd
+#: paper's p = 3 closed form: one even position, the other two odd
 _PRECONDITION_PARITIES = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 #: one row per precondition pattern: 1 on the p = 3 cells of that parity
@@ -52,14 +56,21 @@ _PRECONDITION_MASK = np.array(
     [[tuple(x % 2 for x in pat) == pi for pat in cells(3)]
      for pi in _PRECONDITION_PARITIES], dtype=np.int64)
 
+#: odd positions q of each p = 3 parity class, in A_order
+_Q3 = np.array([sum(pi) for pi in parity_classes(3)])
+
 
 @functools.cache
-def _lee_dot(p: int) -> np.ndarray:
-    """(4^p, 4^p - 1) uint8: Lee(v.w mod 4) for every cell v and every
-    nonzero w (column w - 1), the Lee length that a row v of V adds to
-    the dual word (w, -Vw)."""
+def _cell_terms(p: int) -> np.ndarray:
+    """(4^p, 4^p - 1 + 2^p) uint8, what each cell v adds to the dual pass
+    as a row of V: Lee(v.w mod 4) to the dual word (w, -Vw) of every
+    nonzero w (column w - 1), then one to the mass on v's parity pattern
+    (see `_dual_tables`)."""
     digits = cell_digits(np.arange(4 ** p), p).astype(np.uint8)
-    return np.array(LEE_WEIGHTS, dtype=np.uint8)[digits @ digits[1:].T & 3]
+    lee = np.array(LEE_WEIGHTS, dtype=np.uint8)[digits @ digits[1:].T & 3]
+    pattern = (digits & 1) @ (1 << np.arange(p))
+    return np.hstack([lee, pattern[:, None] == np.arange(2 ** p)],
+                     dtype=np.uint8)
 
 
 @functools.cache
@@ -69,21 +80,9 @@ def _system_arrays(p: int) -> tuple[np.ndarray, np.ndarray]:
     v, for each canonical wordtype w, and row pi of B is the parity of
     v.pi, for each parity class pi."""
     kinds = cell_index(np.array(canonical_wordtypes(p)))
-    c = _lee_dot(p).T[kinds - 1].astype(np.int64)
+    c = _cell_terms(p).T[kinds - 1].astype(np.int64)
     b = cell_digits(np.arange(4 ** p), p) @ np.array(parity_classes(p)).T
     return c, np.ascontiguousarray((b % 2).T)
-
-
-#: the p = 3 closed form's tables, built once
-_SYSTEM3 = build_system(3)
-_CONSTANTS3 = np.array(_SYSTEM3.constants, dtype=np.int64)
-#: odd positions q per parity class, aligned with A_order
-_Q3 = np.array([sum(pi) for pi in _SYSTEM3.a_order], dtype=np.int64)
-#: parity class of each canonical wordtype (-1 when fully even)
-_CLASS3 = np.array([_SYSTEM3.a_order.index(tuple(x % 2 for x in w))
-                    if any(x % 2 for x in w) else -1
-                    for w in _SYSTEM3.k_order])
-_ODD3 = _CLASS3 >= 0
 
 
 @dataclass(frozen=True)
@@ -102,8 +101,7 @@ def evaluate(f: FrequencyVector, system: EquationSystem | None = None
     c, b = _system_arrays(f.p)
     fv = np.asarray(f.counts, dtype=np.int64)
     k, a = c @ fv, b @ fv
-    return TheoryEvaluation(f.p, tuple(int(x) for x in k),
-                            tuple(int(x) for x in a))
+    return TheoryEvaluation(f.p, tuple(k.tolist()), tuple(a.tolist()))
 
 
 def parity_class_sums(f: FrequencyVector) -> dict[tuple[int, ...], int]:
@@ -132,60 +130,127 @@ def aliasing_exponent(q: int, a: int) -> int:
 
 
 def theory_spectrum(f: FrequencyVector) -> WordSpectrum:
-    """Word spectrum of the induced design, straight from f (p = 3).
+    """Word spectrum of the induced design, straight from f, where the
+    paper's p = 3 closed form applies (its preconditions hold).
 
     Each of the 7 two-sided wordtype classes with odd entries carries
     8 * 4^e words of aliasing index 2^-e, spread evenly (2 * 4^e each)
     over its 4 canonical wordtypes at length k_w + Lee(w); the 7 fully
-    even wordtypes contribute one completely aliased word each.
+    even wordtypes contribute one completely aliased word each.  The
+    spectrum is read off the dual pass, which agrees with that form.
     """
     _require_preconditions(f)
-    return _spectrum(evaluate(f), 2 * sum(f.counts) + 2 * f.p)
+    return _dual_spectrum(f, 2 * sum(f.counts) + 2 * f.p)
 
 
 def _require_preconditions(f: FrequencyVector) -> None:
     if f.p != 3:
         raise ValueError(
-            f"closed-form spectrum covers p = 3 only, got p = {f.p}")
+            f"the paper's closed form covers p = 3 only, got p = {f.p}")
     bad = [pi for pi, v in precondition_sums(f).items() if v == 0]
     if bad:
         names = ", ".join("".join(map(str, pi)) for pi in bad)
         raise PreconditionError(
             f"no frequency mass on parity pattern(s) {names}; the "
-            "closed form does not apply here, fall back to the "
-            "brute-force oracle (method 'bruteforce')")
-
-
-def _lengths_exponents(k: np.ndarray, a: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form word length and aliasing exponent per canonical p = 3
-    wordtype, for K of shape (..., 35) and A of shape (..., 7).  A fully
-    even wordtype gets e = 0, since its rho is 1."""
-    e = aliasing_exponent(_Q3, a)
-    return _CONSTANTS3 + k, np.where(_ODD3, np.take(e, _CLASS3, axis=-1), 0)
-
-
-def _spectrum(ev: TheoryEvaluation, max_len: int) -> WordSpectrum:
-    """The closed-form spectrum of the words up to `max_len` long."""
-    lengths, exps = _lengths_exponents(ev.k_values, ev.a_values)
-    agg: dict[tuple[int, int], int] = {}
-    for length, e, odd in zip(lengths.tolist(), exps.tolist(),
-                              _ODD3.tolist()):
-        if length <= max_len:
-            agg[length, e] = agg.get((length, e), 0) + (
-                2 * 4 ** e if odd else 1)
-    return WordSpectrum(tuple((l, Fraction(1, 2 ** e), c)
-                              for (l, e), c in agg.items()))
+            "paper's closed form does not apply here (analyze reads "
+            "every F through the dual closed form)")
 
 
 def class_rhos(f: FrequencyVector) -> tuple[Fraction, ...]:
-    """Aliasing index per odd parity class, aligned with A_order."""
-    return _class_rhos(evaluate(f, build_system(3)))
+    """Aliasing index per odd parity class, aligned with A_order (p = 3)."""
+    if f.p != 3:
+        raise ValueError(f"class rhos cover p = 3 only, got p = {f.p}")
+    return _class_rhos(evaluate(f))
 
 
 def _class_rhos(ev: TheoryEvaluation) -> tuple[Fraction, ...]:
     return tuple(Fraction(1, 2 ** e)
                  for e in aliasing_exponent(_Q3, ev.a_values).tolist())
+
+
+@functools.cache
+def _dual_tables(p: int) -> tuple[np.ndarray, ...]:
+    """The per-p constants of the dual pass, a parity pattern being an int
+    whose bit i is the parity of digit i: Lee(w) and the pattern of each
+    nonzero w; |pi|, dot(u, pi) and [delta inside pi] over the patterns;
+    and per u, flat over (pi, delta), [dot(u, pi) even, dot(u, delta)
+    odd] and dot(u, pi) dot(u, delta), each for one matmul by the mass."""
+    digits = cell_digits(np.arange(1, 4 ** p), p)
+    pats = np.arange(2 ** p)
+    dot = (_popcount(pats[:, None] & pats) & 1).astype(np.int64)
+    return (np.take(LEE_WEIGHTS, digits).sum(axis=1),
+            (digits & 1) @ (1 << np.arange(p)), _popcount(pats), dot,
+            pats & ~pats[:, None] == 0,
+            ((1 - dot)[:, :, None] * dot[:, None]).reshape(len(pats), -1),
+            (dot[:, :, None] * dot[:, None]).reshape(len(pats), -1))
+
+
+def _row_counts(values: np.ndarray, width: int) -> np.ndarray:
+    """(rows, width): how often each of 0..width-1 occurs in each row of
+    a (rows, m) array of ints in that range."""
+    offsets = values + width * np.arange(len(values))[:, None]
+    return np.bincount(offsets.ravel(), minlength=width * len(values)
+                       ).reshape(-1, width)
+
+
+def _half_excess(excess: np.ndarray) -> np.ndarray:
+    """e = (k - d - r) / 2, the exponent of rho = 2^-e; an odd or a
+    negative k - d - r would make rho non-dyadic or above 1."""
+    if ((excess < 0) | (excess & 1 == 1)).any():
+        raise AssertionError(
+            "non-dyadic aliasing index in a quaternary-code design")
+    return excess >> 1
+
+
+def _dual_words(rows: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(L, e), each of shape (batch, 4^p - 1), for a (batch, n) array of
+    cells, each row the multiset of V's row patterns: column w - 1 holds
+    the dual word (w, -Vw) of each nonzero w in Z4^p.
+
+    That word has Lee length L_w = Lee(w) + sum_v F_v Lee(v.w), and
+    stands for 2^(k-d-r) words of that length in the binary design, each
+    of aliasing index 2^-e with e = (k - d - r) / 2 (a binary Gauss sum;
+    Hammons, Kumar, Calderbank, Sloane and Sole, IEEE Trans. IT 1994).
+    With pi = w mod 2 and m_u the mass on the cells of parity u:
+    k = |pi| + sum_u m_u dot(u, pi); d is the dimension of D_pi, the
+    delta inside pi with dot(u, delta) even for every u of mass with
+    dot(u, pi) even; and r that of the radical on D_pi of the form
+    dot(delta, delta') + sum_u m_u dot(u, delta) dot(u, delta') mod 2.
+    So the GWLP is A_k = #{w != 0 : L_w = k}.
+    """
+    lee, pattern, size, dot, within, leaves, pairs = _dual_tables(p)
+    shape = (len(rows), len(dot), len(dot))
+    terms = sum(_cell_terms(p)[rows[:, i:i + _TERM_ROWS]].sum(
+        axis=1, dtype=np.int64) for i in range(0, rows.shape[1], _TERM_ROWS))
+    lengths, mass = lee + terms[:, :len(lee)], terms[:, len(lee):]
+    k = size + mass @ dot
+    # delta leaves D_pi when a cell u of mass has dot(u, pi) even and
+    # dot(u, delta) odd
+    inside = within & ((mass @ leaves).reshape(shape) == 0)
+    form = (dot + ((mass & 1) @ pairs).reshape(shape)) & 1
+    radical = inside & (inside.astype(np.int64) @ form == 0)
+    # spaces of sizes 2^d and 2^r give d + r = popcount(2^d 2^r - 1)
+    excess = k - _popcount(inside.sum(axis=2) * radical.sum(axis=2) - 1)
+    return lengths, _half_excess(excess)[:, pattern]
+
+
+def _rows(f: FrequencyVector) -> np.ndarray:
+    """F as a batch of one row multiset."""
+    return np.repeat(np.arange(4 ** f.p), f.counts)[None]
+
+
+def _dual_spectrum(f: FrequencyVector, max_len: int) -> WordSpectrum:
+    """The spectrum of the words 3..max_len long: each nonzero w adds
+    4^e words of aliasing index 2^-e at length L_w."""
+    lengths, exps = (a[0] for a in _dual_words(_rows(f), f.p))
+    keep = (lengths >= 3) & (lengths <= max_len)
+    # e <= L / 2, so L * (max_len + 1) + e is one int per (L, e) cell
+    cells, counts = np.unique(lengths[keep] * (max_len + 1) + exps[keep],
+                              return_counts=True)
+    ls, es = np.divmod(cells, max_len + 1)
+    rhos = {e: Fraction(1, 2 ** e) for e in set(es.tolist())}
+    return WordSpectrum(tuple((l, rhos[e], c << 2 * e) for l, e, c in
+                              zip(ls.tolist(), es.tolist(), counts.tolist())))
 
 
 @dataclass(frozen=True)
@@ -208,42 +273,37 @@ def analyze(g: GeneratorSpec, method: str = "theory",
             ) -> TheoryReport:
     """Full aliasing report for the design induced by a generator.
 
-    method 'theory' uses the closed form (p = 3; smaller p falls back
-    to the exact scan, which is cheap there), 'bruteforce' scans column
-    subsets, 'both' runs the two and insists they agree.  'theory' and
-    'both' check the closed form's preconditions before any design is
-    built.  The report carries K/A values (empty above p = MAX_P, where
-    no equation system is built) and whether the closed form applies;
-    nothing falls back silently.
+    method 'theory' reads the spectrum off the dual closed form
+    (`_dual_words`), for every p up to MAX_P, with no preconditions and
+    no design built; 'bruteforce' scans column subsets of the built
+    design; 'both' runs the two and insists they agree.  The report
+    carries the paper's K/A values (empty above MAX_P, where only
+    'bruteforce' runs), its class aliasing indices where its p = 3
+    preconditions hold, and whether they hold.
     """
     factors = 2 * g.n + 2 * g.p
     max_len = word_length_limit(factors, max_length)
     if method not in ("theory", "bruteforce", "both"):
         raise ValueError(f"unknown method {method!r}")
-    if method in ("theory", "both") and g.p > 3:
-        raise ValueError(
-            f"no closed form for p = {g.p}; use method 'bruteforce'")
+    if method != "bruteforce" and g.p > MAX_P:
+        raise ValueError(f"the closed form covers p up to {MAX_P}, got "
+                         f"p = {g.p}; use method 'bruteforce'")
 
-    # below p = 3 the scan is both reference and fast path
-    closed = method != "bruteforce" and g.p == 3
     # F has 4^p cells, and nothing reads it above MAX_P
     f = frequency_vector(g) if g.p <= MAX_P else None
-    if closed:
-        _require_preconditions(f)
     ev = evaluate(f) if f is not None else TheoryEvaluation(g.p, (), ())
     ok = preconditions_met(f) if g.p == 3 else g.p < 3
     rhos = _class_rhos(ev) if g.p == 3 and ok else ()
 
-    theory = _spectrum(ev, max_len) if closed else None
-    brute = None
-    if not closed or method == "both":
-        brute = spectrum_bruteforce(build_design(g), max_len, force=force)
-        if not brute.is_dyadic():
+    theory = None if method == "bruteforce" else _dual_spectrum(f, max_len)
+    spec = theory
+    if method != "theory":
+        spec = spectrum_bruteforce(build_design(g), max_len, force=force)
+        if not spec.is_dyadic():
             raise AssertionError(
                 "non-dyadic aliasing index in a quaternary-code design")
-    if theory is not None and brute is not None:
-        _compare_spectra(theory, brute)
-    spec = brute if brute is not None else theory
+        if theory is not None:
+            _compare_spectra(theory, spec)
     return TheoryReport(4 ** g.n, factors, method, ev.k_values,
                         ev.a_values, rhos, spec,
                         summarize(spec, factors, max_len), ok)
@@ -281,9 +341,9 @@ def periodic_extend(f0: FrequencyVector, t: int) -> PeriodicFamily:
     so the shortest word length shifts by 64t while its aliasing index
     picks up a factor 2^-16t (complete words stay completely aliased).
     Both shift identities are re-checked here on the actual vectors.
-    The base's shortest length r and aliasing index rho are read from
-    the closed-form length and exponent of each wordtype: r is the
-    least length, and rho = 2^-e for the least exponent e at r.
+    The base's shortest length r and aliasing index rho = 2^-e are read
+    from its max_resolution key in the dual pass: r is the least word
+    length, and e the least exponent at r.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -296,9 +356,8 @@ def periodic_extend(f0: FrequencyVector, t: int) -> PeriodicFamily:
         raise AssertionError("word-count shift identity violated")
     if any(b - a != 32 * t for a, b in zip(ev0.a_values, evt.a_values)):
         raise AssertionError("parity-sum shift identity violated")
-    lengths, exps = _lengths_exponents(ev0.k_values, ev0.a_values)
-    r0 = int(lengths.min())
-    e0 = int(exps[lengths == r0].min())
+    [key] = _dual_keys(_rows(f0), f0.p, "max_resolution")
+    r0, e0 = (-x for x in key)
     r = r0 + 64 * t
     rho = Fraction(1, 2 ** (e0 + 16 * t)) if e0 else Fraction(1)
     return PeriodicFamily(f0, t, ft, r, rho, r + 1 - rho)
@@ -438,17 +497,14 @@ def search(n: int, p: int, criterion: str = "max_resolution",
     candidates of search(3, 3), 5,694 for the 720,720 of search(4, 3)).
     Every representative is scored by the dual closed form, from the Lee
     lengths and Gauss-sum exponents of its 4^p - 1 nonzero dual words
-    (`_dual_keys`); no design is built to rank.  Only the orbits that
-    reach the top `top` are expanded into frequency vectors, and only
-    the winners' reports are computed: by the p = 3 closed form where
-    its preconditions hold, else by the Walsh-Hadamard oracle.
+    (`_dual_keys`).  Only the orbits that reach the top `top` are
+    expanded into frequency vectors, and only the winners' reports are
+    computed, by `analyze(..., "theory")`: no design is built at all.
 
     The work is priced before any scoring (`search_work`: pair-class
     multisets times the p! * 2^p column operations that canonicalize
     each) and refused above `WORK_BUDGET` unless forced; search(6, 3) is
-    within it.  Designs past the oracle's 24-factor transform limit are
-    refused even when forced, since the winners' reports need the
-    transform.
+    within it.
     """
     if criterion not in ("max_resolution", "gma"):
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -458,88 +514,29 @@ def search(n: int, p: int, criterion: str = "max_resolution",
         raise ValueError(f"n must be positive, got n = {n}")
     if not 1 <= p <= 3:
         raise ValueError(f"search covers p in 1..3, got p = {p}")
-    if 2 * n + 2 * p > _WHT_MAX_FACTORS:
-        raise BudgetExceeded(
-            f"search over n = {n}, p = {p} scores {2 * n + 2 * p}-factor "
-            f"designs, past the oracle's {_WHT_MAX_FACTORS}-factor limit")
     work = search_work(n, p)
     if work > WORK_BUDGET and not force:
         raise BudgetExceeded(
             f"search over n = {n}, p = {p} is priced at {work:.2e} "
             f"column operations, over the budget {WORK_BUDGET:.0e}; pass "
             "force to run anyway")
-    return [(f, _report_for_frequency(f))
+    return [(f, analyze(generator_for_frequency(f), method="theory"))
             for f in _best_frequencies(n, p, criterion, top)]
-
-
-def _report_for_frequency(f: FrequencyVector) -> TheoryReport:
-    g = generator_for_frequency(f)
-    if f.p == 3 and preconditions_met(f):
-        return analyze(g, method="theory")
-    return analyze(g, method="bruteforce", force=True)
-
-
-def _row_counts(values: np.ndarray, width: int) -> np.ndarray:
-    """(rows, width): how often each of 0..width-1 occurs in each row of
-    a (rows, m) array of ints in that range."""
-    offsets = values + width * np.arange(len(values))[:, None]
-    return np.bincount(offsets.ravel(), minlength=width * len(values)
-                       ).reshape(-1, width)
-
-
-def _half_excess(excess: np.ndarray) -> np.ndarray:
-    """e = (k - d - r) / 2, the exponent of rho = 2^-e; an odd or a
-    negative k - d - r would make rho non-dyadic or above 1."""
-    if ((excess < 0) | (excess & 1 == 1)).any():
-        raise AssertionError(
-            "non-dyadic aliasing index in a quaternary-code design")
-    return excess >> 1
 
 
 def _dual_keys(rows: np.ndarray, p: int, criterion: str) -> list:
     """Exact minimize-oriented ranking key per row of a (batch, n) array
-    of cells, each row the multiset of V's row patterns: (-L, -e) for
-    max_resolution, L the least word length and 2^-e the largest
-    aliasing index at L, so that deeper resolution sorts first; or for
-    gma the GWLP vector scaled by runs^2, compared ascending.
-
-    Each nonzero w in Z4^p gives the dual word (w, -Vw) of Lee length
-    L_w = Lee(w) + sum_v F_v Lee(v.w), and carries 2^(k-d-r) words of
-    that length in the binary design, each of aliasing index 2^-e with
-    e = (k - d - r) / 2 (a binary Gauss sum; Hammons, Kumar, Calderbank,
-    Sloane and Sole, IEEE Trans. IT 1994).  With pi = w mod 2 and m_u
-    the mass on the cells of parity u: k = |pi| + sum_u m_u dot(u, pi);
-    d is the dimension of D_pi, the delta inside pi with dot(u, delta)
-    even for every u of mass with dot(u, pi) even; and r that of the
-    radical on D_pi of the form dot(delta, delta') + sum_u m_u
-    dot(u, delta) dot(u, delta') mod 2.  So A_k = #{w != 0 : L_w = k}.
-    """
-    n = rows.shape[1]
-    factors = 2 * n + 2 * p
-    words = cell_digits(np.arange(1, 4 ** p), p)
-    lengths = (np.take(LEE_WEIGHTS, words).sum(axis=1)
-               + _lee_dot(p)[rows].sum(axis=1, dtype=np.int64))
+    of cells, each row the multiset of V's row patterns, from the dual
+    pass: (-L, -e) for max_resolution, L the least word length and 2^-e
+    the largest aliasing index at L, so that deeper resolution sorts
+    first; or for gma the GWLP vector A_3.., each A_k the number of
+    nonzero w with L_w = k, compared ascending."""
+    span = 2 * rows.shape[1] + 2 * p + 1
+    lengths, e = _dual_words(rows, p)
     if criterion == "gma":
-        runs2 = 16 ** n
-        counts = _row_counts(lengths, factors + 1)[:, 3:]
-        return [tuple(c * runs2 for c in key) for key in counts.tolist()]
-    # a parity pattern is an int whose bit i is the parity of digit i
-    bits, pats = 1 << np.arange(p), np.arange(2 ** p)
-    dot = (_popcount(pats[:, None] & pats) & 1).astype(np.int64)
-    mass = _row_counts((cell_digits(rows, p) & 1) @ bits, 2 ** p)
-    k = _popcount(pats) + mass @ dot
-    # delta leaves D_pi when a cell u of mass has dot(u, pi) even and
-    # dot(u, delta) odd
-    inside = ((pats & ~pats[:, None] == 0)
-              & (np.einsum("bu,up,ud->bpd", mass, 1 - dot, dot) == 0))
-    form = (dot + np.einsum("bu,ud,ue->bde", mass & 1, dot, dot)) & 1
-    radical = inside & (inside.astype(np.int64) @ form == 0)
-    # a GF(2) space of size 2^d has d = popcount(2^d - 1)
-    excess = (k - _popcount(inside.sum(axis=2) - 1)
-              - _popcount(radical.sum(axis=2) - 1))
-    e = np.take(_half_excess(excess), (words & 1) @ bits, axis=1)
-    short = np.where(lengths >= 3, lengths, factors + 1)
-    least = short.min(axis=1)
-    e = np.where(short == least[:, None], e, factors).min(axis=1)
-    e = np.where(least > factors, 0, e)
+        return list(map(tuple, _row_counts(lengths, span)[:, 3:].tolist()))
+    # e <= L / 2 < span, so the least L * span + e is the least L and the
+    # least e at it; a design with no word of length 3 or more gets L = span
+    least, e = np.divmod(np.where(lengths >= 3, lengths * span + e,
+                                  span * span).min(axis=1), span)
     return list(zip((-least).tolist(), (-e).tolist()))

@@ -267,16 +267,44 @@ def test_exit_2_on_out_of_range_max_length(tmp_path, gen_file, capsys,
     assert err == "analyze: max_length must be in 3..14\n"
 
 
-def test_exit_3_on_search_past_transform_limit(monkeypatch, capsys):
+def test_search_past_the_transform_limit_builds_no_design(monkeypatch,
+                                                         capsys):
+    # 26 factors, past the WHT's 24: the winners' reports come from the
+    # dual closed form
     import qcode.theory as theory
 
-    def scored(*args):  # a regression would otherwise run for hours
-        raise AssertionError("search scored a design past 24 factors")
+    def built(g):
+        raise AssertionError("search built a design")
 
-    monkeypatch.setattr(theory, "_ranked_orbits", scored)
-    code, _, err = run(capsys, "search", "--n", 12, "--p", 1,
-                       "--force-budget")
-    assert code == 3 and "24-factor limit" in err
+    monkeypatch.setattr(theory, "build_design", built)
+    code, out, err = run(capsys, "search", "--n", 12, "--p", 1)
+    assert (code, err) == (0, "")
+    assert json.loads(out)[0]["resolution"] == "25"
+
+
+@pytest.mark.parametrize("p, V", [
+    (4, [[1, 0, 2, 3], [0, 1, 1, 2], [3, 3, 0, 1]]),
+    (3, [[1, 1, 1], [2, 0, 0], [0, 2, 2]]),  # no mass on 110, 101, 011
+])
+def test_analyze_theory_prints_the_bruteforce_report(tmp_path, capsys, p, V):
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({"n": len(V), "p": p, "V": V}))
+    reports = []
+    for method in ("theory", "bruteforce"):
+        code, out, err = run(capsys, "analyze", "--input", gen,
+                             "--method", method)
+        assert (code, err) == (0, "")
+        reports.append(out.replace(f'"method": "{method}"', '"method": ""'))
+    assert reports[0] == reports[1]
+
+
+def test_exit_2_on_theory_past_max_p(tmp_path, capsys):
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({"n": 1, "p": 7, "V": [[1] * 7]}))
+    code, out, err = run(capsys, "analyze", "--input", gen,
+                         "--method", "theory")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "bruteforce" in err
 
 
 def test_exit_3_on_wide_generator(tmp_path, capsys):

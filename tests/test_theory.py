@@ -1,14 +1,20 @@
 """Counting-theory layer: spectra from the frequency vector alone,
 periodic families, and the exact search."""
 
+import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qcode
 from conftest import (MIXED_PARITIES, miscount_scan, random_generator,
                       random_precondition_generator)
 from qcode import (FrequencyVector, GeneratorSpec, PreconditionError,
@@ -18,12 +24,12 @@ from qcode import (FrequencyVector, GeneratorSpec, PreconditionError,
                    parity_class_sums, periodic_extend, precondition_sums,
                    preconditions_met, search, spectrum_bruteforce,
                    summarize, theory_spectrum)
-from qcode.equations import build_system, cells
+from qcode.equations import build_system, canonical_wordtypes, cells
 from qcode.theory import (WORK_BUDGET, _best_frequencies, _dual_keys,
-                          _half_excess, _orbit_frequencies,
+                          _dual_words, _half_excess, _orbit_frequencies,
                           _orbit_representatives, _pair_classes,
                           _ranked_orbits, _system_arrays, search_work)
-from qcode.z4 import LEE_WEIGHTS
+from qcode.z4 import LEE_WEIGHTS, cell_index
 
 HALF = Fraction(1, 2)
 
@@ -86,25 +92,110 @@ def test_analyze_both_agree_on_frozen_design(design256):
 
 
 def test_analyze_p3_requires_preconditions_for_theory():
+    """The paper's p = 3 theory (its spectrum and class aliasing indices)
+    needs the preconditions; the dual closed form behind analyze does
+    not, and gives the subset scan's report on a failing F."""
     g = GeneratorSpec(3, 3, ((1, 1, 1), (2, 0, 0), (0, 2, 2)))
     with pytest.raises(PreconditionError):
-        analyze(g, method="theory")
-    rep = analyze(g, method="bruteforce")
-    assert not rep.preconditions_met
-    assert rep.spectrum.is_dyadic()
+        theory_spectrum(frequency_vector(g))
+    rep = analyze(g, method="theory")
+    assert not rep.preconditions_met and rep.rhos == ()
+    brute = analyze(g, method="bruteforce")
+    assert rep == dataclasses.replace(brute, method="theory")
+    assert analyze(g, method="both").spectrum == brute.spectrum
 
 
-def test_analyze_checks_preconditions_before_building(monkeypatch):
+def test_analyze_checks_preconditions_before_building(monkeypatch, rng):
+    """A theory report reads F, K/A and whether the preconditions hold
+    without building a design or an equation system, at every p up to
+    MAX_P and on an F that fails the preconditions."""
+    import qcode.equations as equations
     import qcode.theory as theory
 
-    def built(g):
-        raise AssertionError("a design was built for a failing F")
+    def built(*args):
+        raise AssertionError("a theory report built a design or a system")
 
     monkeypatch.setattr(theory, "build_design", built)
-    g = GeneratorSpec(3, 3, ((1, 1, 1), (2, 0, 0), (0, 2, 2)))
-    for method in ("theory", "both"):
-        with pytest.raises(PreconditionError):
-            analyze(g, method=method)
+    monkeypatch.setattr(equations.EquationSystem, "__init__", built)
+    failing = GeneratorSpec(3, 3, ((1, 1, 1), (2, 0, 0), (0, 2, 2)))
+    assert not analyze(failing, method="theory").preconditions_met
+    for p in range(1, 7):
+        rep = analyze(random_generator(rng, 13, p), method="theory")
+        assert rep.summary.gwlp and len(rep.k_values) == len(
+            canonical_wordtypes(p))
+
+
+def test_import_builds_no_equation_system():
+    """`import qcode` builds no equation system: the closed form's tables
+    are built on first use."""
+    src = str(Path(qcode.__file__).parents[1])
+    code = ("import gc, qcode\n"
+            "built = [o for o in gc.get_objects()\n"
+            "         if isinstance(o, qcode.EquationSystem)]\n"
+            "assert not built, built\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+#: (p, n) sizes at which every row multiset is refereed
+_EXHAUSTIVE = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2))
+
+
+@pytest.mark.parametrize("p, n", _EXHAUSTIVE)
+def test_dual_spectrum_matches_the_scan_on_every_multiset(p, n):
+    """`both` raises SpectrumMismatch on any disagreement between the
+    dual closed form and the subset scan: every multiset of n rows,
+    the zero row included, at each (p, n)."""
+    for rows in itertools.combinations_with_replacement(cells(p), n):
+        analyze(GeneratorSpec(n, p, rows), method="both")
+
+
+@pytest.mark.parametrize("p, most", [(4, 6), (5, 5), (6, 4)])
+def test_dual_spectrum_matches_the_scan_past_p3(rng, p, most):
+    """Sampled generators above p = 3, at 20 factors or fewer, through
+    `both`."""
+    for n in range(1, most + 1):
+        for _ in range(3 if n < most else 1):
+            analyze(random_generator(rng, n, p), method="both")
+
+
+def test_dual_spectrum_matches_the_scan_without_preconditions(rng):
+    """Sampled p = 3 generators that fail the preconditions: V misses a
+    mixed parity pattern."""
+    checked = 0
+    while checked < 12:
+        g = random_generator(rng, int(rng.integers(3, 7)), 3)
+        if not preconditions_met(frequency_vector(g)):
+            rep = analyze(g, method="both")
+            assert rep.rhos == () and not rep.preconditions_met
+            checked += 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_dual_pass_holds_the_paper_theorem(data):
+    """Where the p = 3 preconditions hold, the dual pass gives the paper's
+    closed form: at each canonical wordtype w, L_w is Lee(w) + K_w (the
+    system's constant plus K), and e is aliasing_exponent(q, A) for w's
+    parity class (0 when w is fully even)."""
+    n = data.draw(st.integers(3, 12), label="n")
+    rows = [data.draw(st.sampled_from(cs), label="mixed cell")
+            for cs in _MIXED_CELLS]
+    rows += data.draw(st.lists(st.integers(0, 63), min_size=n - 3,
+                               max_size=n - 3), label="more cells")
+    f = FrequencyVector(3, tuple(np.bincount(rows, minlength=64).tolist()))
+    assert preconditions_met(f)
+    ev, sysm = evaluate(f), build_system(3)
+    lengths, e = _dual_words(np.array([rows]), 3)
+    for w, const, k in zip(sysm.k_order, sysm.constants, ev.k_values):
+        col = cell_index(np.array(w)) - 1
+        assert lengths[0, col] == const + k
+        pi = tuple(x % 2 for x in w)
+        want = (aliasing_exponent(sum(pi), ev.a_values[
+            sysm.a_order.index(pi)]) if any(pi) else 0)
+        assert e[0, col] == want
 
 
 def test_analyze_both_raises_on_mismatch(monkeypatch, design256):
@@ -308,20 +399,22 @@ def test_search_budget_guard():
 
 
 @pytest.mark.parametrize("force", [False, True])
-def test_search_refuses_designs_past_the_transform_limit(monkeypatch, force):
-    # 26 factors: priced far under WORK_BUDGET and cheap to score, but the
-    # winners' reports need the 24-factor transform, so the refusal comes
-    # before any scoring, forced or not
+def test_search_reports_designs_past_the_transform_limit(monkeypatch, force):
+    # 26 factors, past the WHT's 24: the winners' reports come from the
+    # dual closed form, so no design is built, forced or not
     import qcode.theory as theory
-    from qcode import BudgetExceeded
 
-    def scored(*args):
-        raise AssertionError("search scored a design past 24 factors")
+    def built(g):
+        raise AssertionError("search built a design")
 
-    monkeypatch.setattr(theory, "_ranked_orbits", scored)
+    monkeypatch.setattr(theory, "build_design", built)
     assert search_work(12, 1) <= WORK_BUDGET
-    with pytest.raises(BudgetExceeded, match="26-factor designs"):
-        search(12, 1, force=force)
+    [(f, rep)] = search(12, 1, force=force)
+    assert rep.factors == 26 and rep.method == "theory"
+    # every row of V is 2: w = 2 gives a word of length 2, outside the
+    # spectrum, and w = 1 and 3 one complete word of length 25 each
+    assert f.counts == (0, 0, 12, 0)
+    assert rep.spectrum.entries == ((25, 1, 2),)
 
 
 def test_search_5_3_priced_within_budget():
@@ -365,18 +458,13 @@ def _summary(counts, p):
 
 def _key(d, summary, criterion):
     if criterion == "gma":
-        assert all((a * d.runs ** 2).denominator == 1 for a in summary.gwlp)
-        return tuple(int(a * d.runs ** 2) for a in summary.gwlp)
+        assert all(a.denominator == 1 for a in summary.gwlp)
+        return tuple(map(int, summary.gwlp))
     if summary.resolution is None:
         return (-(d.factors + 1), 0)
     rho = summary.max_rho_at_min_length
     r = int(summary.resolution + rho) - 1
     return (-r, -(rho.denominator.bit_length() - 1))
-
-
-#: p = 3 cell indexes of each mixed parity class
-_MIXED_CELLS = [[i for i, c in enumerate(cells(3))
-                 if tuple(x % 2 for x in c) == pi] for pi in MIXED_PARITIES]
 
 
 @settings(max_examples=40, deadline=None)
@@ -403,6 +491,17 @@ def test_batched_oracle_keys_match_single_design(data):
         want = [_key_from_summary(tuple(f), p, criterion)
                 for f in fmat.tolist()]
         assert _dual_keys(rows, p, criterion) == want
+
+
+def test_dual_words_gather_long_row_sets_in_blocks(monkeypatch, rng):
+    """A row set longer than `_TERM_ROWS` is summed a block at a time, to
+    the same lengths and exponents."""
+    import qcode.theory as theory
+    rows = np.sort(rng.integers(0, 64, (5, 11)), axis=1)
+    whole = _dual_words(rows, 3)
+    monkeypatch.setattr(theory, "_TERM_ROWS", 4)
+    blocks = _dual_words(rows, 3)
+    assert all((a == b).all() for a, b in zip(whole, blocks))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
