@@ -11,6 +11,7 @@ reported as one line naming the exception).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -296,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("construct", help="generator JSON -> design text")
     sp.add_argument("--input", required=True)
     common(sp)
-    sp.set_defaults(func=cmd_construct)
 
     sp = sub.add_parser("analyze", help="aliasing report for a generator "
                                         "or design file")
@@ -305,17 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
                     default="theory")
     sp.add_argument("--max-length", type=int, default=None)
     common(sp)
-    sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("matrices", help="emit the coefficient matrices")
     sp.add_argument("--p", type=int, required=True)
     common(sp)
-    sp.set_defaults(func=cmd_matrices)
 
     sp = sub.add_parser("verify", help="diff regenerated matrices and "
                                        "examples against frozen data")
     sp.add_argument("--p", type=int, choices=(1, 2, 3), default=None)
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("search", help="rank all frequency vectors for "
                                        "given n, p")
@@ -325,22 +322,26 @@ def build_parser() -> argparse.ArgumentParser:
                     default="max_resolution")
     sp.add_argument("--top", type=int, default=1)
     common(sp)
-    sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser("extend", help="uniform periodic extension of a "
                                        "frequency vector")
     sp.add_argument("--input", required=True)
     sp.add_argument("--t", type=int, required=True)
     common(sp)
-    sp.set_defaults(func=cmd_extend)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     name = args.subcommand
     try:
-        return args.func(args)
+        # looked up per call, so a rebound cmd_<name> is the one run
+        return globals()[f"cmd_{name}"](args)
     except BudgetExceeded as exc:
         print(f"{name}: {exc}", file=sys.stderr)
         return EXIT_BUDGET

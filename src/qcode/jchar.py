@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import groupby
+from math import comb, lcm
+from operator import itemgetter
 
 import numpy as np
 
@@ -71,7 +73,8 @@ class WordSpectrum:
     entries: tuple[tuple[int, Fraction, int], ...]
 
     def __post_init__(self):
-        # checked on a Fraction's ints: its hash and comparisons are slow
+        # checked and sorted on a Fraction's ints: its hash and comparisons
+        # are slow
         seen = set()
         for length, rho, count in self.entries:
             if length < 3:
@@ -84,7 +87,11 @@ class WordSpectrum:
             if cell in seen:
                 raise ValueError(f"duplicate spectrum cell {(length, rho)}")
             seen.add(cell)
-        ordered = tuple(sorted(self.entries, key=lambda e: (e[0], -e[1])))
+        # rho = num / den is -(num * (scale // den)) / scale, negated for
+        # largest first
+        scale = lcm(*{den for _, _, den in seen})
+        ordered = tuple(sorted(self.entries, key=lambda e: (
+            e[0], -e[1].numerator * (scale // e[1].denominator))))
         object.__setattr__(self, "entries", ordered)
 
     def total_words(self) -> int:
@@ -113,14 +120,19 @@ def summarize(spectrum: WordSpectrum, factors: int,
     """GWLP A_3..A_factors plus generalized resolution r + 1 - max rho at r."""
     scanned = factors if scanned_length is None else scanned_length
     gwlp = [Fraction(0)] * (factors - 2)
-    for length, rho, count in spectrum.entries:
+    # A_length = sum of count * num^2 / den^2, over the lcm of the dens
+    for length, cells in groupby(spectrum.entries, key=itemgetter(0)):
         if length > factors:
             raise ValueError(f"word length {length} exceeds {factors} factors")
-        gwlp[length - 3] += count * rho * rho
+        cells = list(cells)
+        den = lcm(*(rho.denominator for _, rho, _ in cells))
+        gwlp[length - 3] = Fraction(sum(
+            c * (rho.numerator * (den // rho.denominator)) ** 2
+            for _, rho, c in cells), den * den)
     if not spectrum.entries:
         return DesignSummary(tuple(gwlp), None, None, scanned)
-    r = spectrum.entries[0][0]
-    worst = max(rho for length, rho, _ in spectrum.entries if length == r)
+    # entries run by length, then largest rho first
+    r, worst, _ = spectrum.entries[0]
     return DesignSummary(tuple(gwlp), r + 1 - worst, worst, scanned)
 
 
@@ -160,39 +172,70 @@ def negation_masks(d: BinaryDesign) -> np.ndarray:
                            @ weights for lo in range(0, d.runs, _MASK_RUNS)])
 
 
-def walsh_hadamard(counts: np.ndarray) -> np.ndarray:
-    """WHT along the last axis (leading axes are a batch), in the input's
-    dtype; entry S of the result is j of column subset S.  Each stage
-    writes neighbouring pairs' sums and differences to the other buffer's
-    two halves (constant geometry)."""
-    half = counts.shape[-1] // 2
-    out = counts.copy()
-    buf = np.empty_like(out)
+def _wht_in_place(a: np.ndarray) -> np.ndarray:
+    """WHT of `a` along its last axis (leading axes are a batch), using
+    `a` itself as one of the two buffers; entry S of the result is j of
+    column subset S.  Each stage writes neighbouring pairs' sums and
+    differences to the other buffer's two halves (constant geometry), so
+    the result is `a` or the scratch buffer, and `a` is overwritten."""
+    half = a.shape[-1] // 2
+    buf = np.empty_like(a)
     for _ in range(half.bit_length()):
-        even, odd = out[..., 0::2], out[..., 1::2]
+        even, odd = a[..., 0::2], a[..., 1::2]
         np.add(even, odd, out=buf[..., :half])
         np.subtract(even, odd, out=buf[..., half:])
-        out, buf = buf, out
-    return out
+        a, buf = buf, a
+    return a
+
+
+def walsh_hadamard(counts: np.ndarray) -> np.ndarray:
+    """WHT along the last axis (leading axes are a batch), in the input's
+    dtype, leaving the input alone; entry S of the result is j of column
+    subset S."""
+    return _wht_in_place(counts.copy())
 
 
 def _subset_j(d: BinaryDesign) -> np.ndarray:
     """j of every column subset: a histogram of the negation masks, then
-    its WHT, both in the narrowest integer type that holds +-runs."""
+    its WHT in place, both in the narrowest integer type that holds
+    +-runs; two buffers of 2^factors cells in all."""
     counts = np.zeros(1 << d.factors, dtype=np.min_scalar_type(-d.runs - 1))
     np.add.at(counts, negation_masks(d), 1)
-    return walsh_hadamard(counts)
+    return _wht_in_place(counts)
+
+
+def _subset_sizes(factors: int) -> np.ndarray:
+    """uint8 size of every column subset S < 2^factors, as the outer sum
+    of the popcounts of S's high and low halves, so no 2^factors index
+    array is made."""
+    low = factors // 2
+    pc = _popcount(np.arange(1 << (factors - low), dtype=np.uint32))
+    return np.add.outer(pc, pc[:1 << low], dtype=np.uint8).ravel()
+
+
+def _cell_keys(sizes: np.ndarray, j: np.ndarray, width: int) -> np.ndarray:
+    """int64 key size * width + |j| of each (size, |j|) cell.  The sizes
+    are widened before the product: a uint8 times a small int stays
+    uint8 under numpy's casting rules, and would wrap.  One int64 array,
+    updated in place."""
+    keys = sizes.astype(np.int64)
+    keys *= width
+    keys += np.abs(j)
+    return keys
 
 
 def _spectrum_wht(d: BinaryDesign, max_len: int) -> WordSpectrum:
     j = _subset_j(d)
-    sizes = _popcount(np.arange(j.size, dtype=np.uint32))
+    sizes = _subset_sizes(d.factors)
     keep = (j != 0) & (sizes >= 3) & (sizes <= max_len)
-    pairs = np.stack([sizes[keep], np.abs(j[keep])], axis=1)
-    cells, n = np.unique(pairs, axis=0, return_counts=True)
-    entries = tuple((int(s), Fraction(int(v), d.runs), int(c))
-                    for (s, v), c in zip(cells, n))
-    return WordSpectrum(entries)
+    # |j| <= runs, so width runs + 1 keeps the cells apart
+    width = d.runs + 1
+    keys, n = np.unique(_cell_keys(sizes[keep], j[keep], width),
+                        return_counts=True)
+    lengths, values = (a.tolist() for a in np.divmod(keys, width))
+    rhos = {v: Fraction(v, d.runs) for v in set(values)}
+    return WordSpectrum(tuple((s, rhos[v], c) for s, v, c
+                              in zip(lengths, values, n.tolist())))
 
 
 def _spectrum_dfs(d: BinaryDesign, max_len: int) -> WordSpectrum:

@@ -17,6 +17,8 @@ import numpy as np
 
 LEE_WEIGHTS = (0, 1, 2, 1)
 
+_Z4 = frozenset(range(4))
+
 # Gray images of 0,1,2,3 in order.
 _GRAY = ((1, 1), (1, -1), (-1, -1), (-1, 1))
 
@@ -29,6 +31,8 @@ class BudgetExceeded(RuntimeError):
 
 def _require_ints(what: str, values) -> None:
     """Only genuine ints: a bool or a float is an input error."""
+    if set(map(type, values)) <= {int}:
+        return
     for x in values:
         if not isinstance(x, int) or isinstance(x, bool):
             raise ValueError(f"{what} must be integers, got {x!r}")
@@ -63,11 +67,17 @@ class GeneratorSpec:
         V = tuple(tuple(row) for row in self.V)
         if len(V) != self.n or any(len(row) != self.p for row in V):
             raise ValueError(f"V must be {self.n}x{self.p}")
-        for row in V:
-            _require_ints("V entries", row)
-            for x in row:
-                if x not in (0, 1, 2, 3):
-                    raise ValueError(f"V entries must be in 0..3, got {x!r}")
+        flat = [x for row in V for x in row]
+        # one set test each over all of V; a per-row loop costs more than
+        # the per-item checks on short rows, so it runs only on bad input,
+        # to name the first bad entry row by row (types before range)
+        if not (set(map(type, flat)) <= {int} and set(flat) <= _Z4):
+            for row in V:
+                _require_ints("V entries", row)
+                for x in row:
+                    if x not in _Z4:
+                        raise ValueError(f"V entries must be in 0..3, "
+                                         f"got {x!r}")
         object.__setattr__(self, "V", V)
 
 
@@ -95,7 +105,7 @@ class FrequencyVector:
         _require_ints("p and the counts", (self.p, *self.counts))
         if len(self.counts) != 4 ** self.p:
             raise ValueError(f"need 4^{self.p} counts, got {len(self.counts)}")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts) < 0:
             raise ValueError("counts must be nonnegative")
 
     @property

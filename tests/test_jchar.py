@@ -6,11 +6,14 @@ being wrong on day one; the independent closed-form checks live in
 test_theory.py where the two routes are compared.
 """
 
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_generator
 from qcode import (BinaryDesign, BudgetExceeded, GeneratorSpec,
@@ -18,8 +21,9 @@ from qcode import (BinaryDesign, BudgetExceeded, GeneratorSpec,
                    duplicated_column_pairs, j_characteristic,
                    spectrum_bruteforce, summarize)
 from qcode import jchar
-from qcode.jchar import (_spectrum_dfs, _spectrum_wht, negation_masks,
-                         scan_cost, walsh_hadamard)
+from qcode.jchar import (_cell_keys, _popcount, _spectrum_dfs, _spectrum_wht,
+                         _subset_j, _subset_sizes, negation_masks, scan_cost,
+                         walsh_hadamard)
 
 HALF = Fraction(1, 2)
 
@@ -193,6 +197,84 @@ def test_dfs_agrees_with_wht(rng):
     # a run count that is not a multiple of 8 pads the packed columns
     odd = BinaryDesign(13, 7, rng.choice([-1, 1], size=(13, 7)).astype(np.int8))
     assert _spectrum_dfs(odd, 7) == _spectrum_wht(odd, 7)
+
+
+def test_dfs_agrees_with_wht_on_repeated_runs_and_complete_words(rng):
+    # repeated runs put counts above 1 in the mask histogram
+    base = rng.choice([-1, 1], size=(8, 7)).astype(np.int8)
+    repeated = BinaryDesign(19, 7, np.vstack([base, base, base[:3]]))
+    # columns a, b, c, ab, -abc, bc of the 2^3 factorial: the words
+    # {a, b, ab}, {a, b, c, -abc}, ... have |j| = runs, and j = -runs too
+    full = np.array([[1 - 2 * ((r >> k) & 1) for k in range(3)]
+                     for r in range(8)])
+    a, b, c = full.T
+    complete = BinaryDesign(8, 6, np.stack(
+        [a, b, c, a * b, -a * b * c, b * c], axis=1).astype(np.int8))
+    assert {abs(int(j)) for j in _subset_j(complete)} >= {8}
+    for d in (repeated, complete):
+        for max_len in range(3, d.factors + 1):
+            assert _spectrum_dfs(d, max_len) == _spectrum_wht(d, max_len)
+
+
+def test_subset_sizes_match_popcount():
+    for factors in range(1, 21):
+        sizes = _subset_sizes(factors)
+        assert sizes.dtype == np.uint8
+        full = _popcount(np.arange(1 << factors, dtype=np.uint32))
+        assert (sizes == full).all()
+
+
+def test_cell_keys_are_int64_past_a_uint8_product(rng):
+    # runs = 64: width 65, so size 4 gives 260, past uint8
+    sizes = np.array([3, 4, 4, 20], dtype=np.uint8)
+    j = np.array([-64, 64, -1, 2], dtype=np.int8)
+    keys = _cell_keys(sizes, j, 65)
+    assert keys.dtype == np.int64
+    assert keys.tolist() == [3 * 65 + 64, 4 * 65 + 64, 4 * 65 + 1, 20 * 65 + 2]
+    d = BinaryDesign(64, 8, rng.choice([-1, 1], size=(64, 8)).astype(np.int8))
+    assert _spectrum_dfs(d, 8) == _spectrum_wht(d, 8)
+
+
+def test_subset_j_transforms_in_two_buffers(rng):
+    # the histogram is one of the transform's two buffers; with a copy
+    # of it as a third, the peak would be 3x one buffer
+    d = BinaryDesign(64, 20, rng.choice([-1, 1], size=(64, 20)).astype(np.int8))
+    tracemalloc.start()
+    try:
+        j = _subset_j(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert j.size == 1 << 20
+    assert peak < 2.5 * j.nbytes
+
+
+_RHOS = st.integers(1, 30).flatmap(
+    lambda den: st.builds(Fraction, st.integers(1, den), st.just(den)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(3, 8), _RHOS),
+                       st.integers(1, 5), max_size=12), st.randoms())
+def test_summarize_and_order_match_fraction_reference(cells, shuffle):
+    """Entries with rhos over mixed, non-dyadic denominators: the int
+    sort key and the int GWLP sums agree with plain Fraction work."""
+    entries = [(length, rho, count) for (length, rho), count in cells.items()]
+    shuffle.shuffle(entries)
+    spec = WordSpectrum(tuple(entries))
+    assert spec.entries == tuple(sorted(entries, key=lambda e: (e[0], -e[1])))
+    gwlp = [Fraction(0)] * 6
+    for length, rho, count in entries:
+        gwlp[length - 3] += count * rho * rho
+    summary = summarize(spec, 8)
+    assert summary.gwlp == tuple(gwlp)
+    if entries:
+        r = min(length for length, _, _ in entries)
+        worst = max(rho for length, rho, _ in entries if length == r)
+        assert summary.max_rho_at_min_length == worst
+        assert summary.resolution == r + 1 - worst
+    else:
+        assert summary.resolution is None
 
 
 def test_scan_budget_refusal():
