@@ -11,6 +11,7 @@ reported as one line naming the exception).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -35,40 +36,32 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def _emit(args, text: str) -> None:
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _output(args):
+    """The file a result goes to, as a context: --output, or else stdout."""
+    return (Path(args.output).open("w") if args.output
+            else contextlib.nullcontext(sys.stdout))
+
+
+def _emit(args, payload, text) -> None:
+    """Write a result to `_output(args)`: `payload` as JSON, or with
+    --format text, the text that `text(payload)` renders."""
+    with _output(args) as fh:
+        if args.format == "json":
+            _write_json(fh, payload)
+        else:
+            fh.write(text(payload))
 
 
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
-def _json(payload) -> str:
-    """`json.dumps(payload, indent=2) + "\n"`, byte for byte, for what the
-    CLI emits: str-keyed dicts, lists, tuples, str, int, bool and None.
-    With an indent the stdlib encodes in pure Python; this dispatches on
-    type and renders a list of plain ints in one join."""
-    out = []
-    _render(payload, "\n", out.append)
-    out.append("\n")
-    return "".join(out)
-
-
-def _write_json(path, payload) -> None:
-    """Write `_json(payload)` to `path` one chunk at a time, so a large
-    payload (`matrices --p 5`: 5 MB) is never held whole as str or bytes."""
-    with Path(path).open("w") as fh:
-        _render(payload, "\n", fh.write)
-        fh.write("\n")
-
-
-def _emit_json(args, payload) -> None:
-    if args.output:
-        _write_json(args.output, payload)
-    else:
-        sys.stdout.write(_json(payload))
+def _write_json(fh, payload) -> None:
+    """Write `json.dumps(payload, indent=2) + "\n"` to `fh`, byte for
+    byte, a chunk at a time (`matrices --p 6` is 79 MB), for str-keyed
+    dicts, lists, tuples, str, int, bool and None.  It dispatches on type,
+    and renders a list of plain ints in one join."""
+    _render(payload, "\n", fh.write)
+    fh.write("\n")
 
 
 def _render(obj, pad: str, emit) -> None:
@@ -142,11 +135,22 @@ def _report_text(payload: dict, summary) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _matrices_text(payload: dict) -> str:
+    lines = [f"p={payload['p']}"]
+    for label, const, row in zip(payload["K_order"],
+                                 payload["constants"], payload["C"]):
+        lines.append(f"k_{label} (+{const}): " + " ".join(map(str, row)))
+    for label, delta, row in zip(payload["A_order"],
+                                 payload["deltas"], payload["B"]):
+        lines.append(f"a_{label} (delta {delta}): " + " ".join(map(str, row)))
+    return "\n".join(lines) + "\n"
+
+
 def cmd_construct(args) -> int:
     g = load_generator(args.input)
     d = build_design(g)
-    text = design_to_text(d)
-    _emit(args, text)
+    with _output(args) as fh:
+        fh.write(design_to_text(d))
     if args.output:
         print(f"runs={d.runs} factors={d.factors}")
     return EXIT_OK
@@ -173,10 +177,7 @@ def cmd_analyze(args) -> int:
         summary = rep.summary
         payload = _report_payload(rep.runs, rep.factors, rep.method,
                                   rep.spectrum, summary)
-    if args.format == "text":
-        _emit(args, _report_text(payload, summary))
-    else:
-        _emit_json(args, payload)
+    _emit(args, payload, lambda payload: _report_text(payload, summary))
     return EXIT_OK
 
 
@@ -191,19 +192,7 @@ def cmd_matrices(args) -> int:
         "deltas": sysm.deltas,
         "B": sysm.b_matrix(),
     }
-    if args.format == "text":
-        lines = [f"p={args.p}"]
-        for label, const, row in zip(payload["K_order"],
-                                     payload["constants"], payload["C"]):
-            lines.append(f"k_{label} (+{const}): "
-                         + " ".join(map(str, row)))
-        for label, delta, row in zip(payload["A_order"],
-                                     payload["deltas"], payload["B"]):
-            lines.append(f"a_{label} (delta {delta}): "
-                         + " ".join(map(str, row)))
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit_json(args, payload)
+    _emit(args, payload, _matrices_text)
     return EXIT_OK
 
 
@@ -231,14 +220,9 @@ def cmd_search(args) -> int:
         "resolution": rep.summary.resolution_text(),
         "witness_V": [list(row) for row in generator_for_frequency(f).V],
     } for f, rep in results]
-    if args.format == "text":
-        lines = []
-        for i, row in enumerate(payload, 1):
-            lines.append(f"#{i} resolution={row['resolution']} "
-                         f"F={row['F']} V={row['witness_V']}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit_json(args, payload)
+    _emit(args, payload, lambda payload: "".join(
+        f"#{i} resolution={row['resolution']} F={row['F']} "
+        f"V={row['witness_V']}\n" for i, row in enumerate(payload, 1)))
     return EXIT_OK
 
 
@@ -262,20 +246,27 @@ def _load_frequency(path: str) -> FrequencyVector:
 def cmd_extend(args) -> int:
     f0 = _load_frequency(args.input)
     fam = periodic_extend(f0, args.t)
+    try:  # rendered before --output is written, so a failure leaves none
+        payload = {
+            "t": fam.t,
+            "predicted_r": fam.predicted_r,
+            "predicted_rho": str(fam.predicted_rho),
+            "predicted_resolution": str(fam.predicted_resolution),
+            "rendered_resolution": fixed_point_7(fam.predicted_resolution),
+        }
+    except ValueError:  # past the interpreter's int to str digit limit
+        raise ValueError(
+            f"t = {fam.t} predicts a rho whose denominator has more than "
+            f"{sys.get_int_max_str_digits():,} digits, Python's limit for "
+            "printing an int") from None
     if args.output:
-        _write_json(args.output, fam.extended.counts)
-    payload = {
-        "t": fam.t,
-        "predicted_r": fam.predicted_r,
-        "predicted_rho": str(fam.predicted_rho),
-        "predicted_resolution": str(fam.predicted_resolution),
-        "rendered_resolution": fixed_point_7(fam.predicted_resolution),
-    }
+        with _output(args) as fh:
+            _write_json(fh, fam.extended.counts)
     if args.format == "text":
         print(f"t={fam.t} r={fam.predicted_r} rho={fam.predicted_rho} "
               f"resolution={payload['rendered_resolution']}")
     else:
-        print(_json(payload), end="")
+        _write_json(sys.stdout, payload)
     return EXIT_OK
 
 

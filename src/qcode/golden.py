@@ -136,7 +136,7 @@ def verify_examples() -> list[str]:
         diffs.append(f"design_256x14: F cells expected {d4['F_one_cells']}, "
                      f"got {ones}")
     sys3 = build_system(3)
-    ev = evaluate(f, sys3)
+    ev = evaluate(f)
     if list(ev.a_values) != d4["A"]:
         diffs.append(f"design_256x14: A expected {d4['A']}, "
                      f"got {list(ev.a_values)}")

@@ -18,8 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .equations import (MAX_P, EquationSystem, cells, canonical_wordtypes,
-                        parity_classes)
+from .equations import MAX_P, canonical_wordtypes, parity_classes
 from .jchar import (BudgetExceeded, DesignSummary, WordSpectrum, _popcount,
                     spectrum_bruteforce, summarize, word_length_limit)
 from .z4 import (LEE_WEIGHTS, FrequencyVector, GeneratorSpec, build_design,
@@ -34,10 +33,6 @@ WORK_BUDGET = 2 * 10 ** 8
 #: multisets of pair classes canonicalized per numpy step
 _ENUM_CHUNK = 8192
 
-#: rows of a row set gathered per numpy step: one large F gathers 4,159
-#: bytes a row at p = 6
-_TERM_ROWS = 4096
-
 
 class PreconditionError(ValueError):
     """The paper's p = 3 closed form does not cover this frequency vector."""
@@ -51,10 +46,9 @@ class SpectrumMismatch(RuntimeError):
 #: paper's p = 3 closed form: one even position, the other two odd
 _PRECONDITION_PARITIES = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 
-#: one row per precondition pattern: 1 on the p = 3 cells of that parity
-_PRECONDITION_MASK = np.array(
-    [[tuple(x % 2 for x in pat) == pi for pat in cells(3)]
-     for pi in _PRECONDITION_PARITIES], dtype=np.int64)
+#: their columns in a p = 3 table sum (see `_cell_terms`)
+_PRECONDITION_COLUMNS = [63 + sum(b << i for i, b in enumerate(pi))
+                         for pi in _PRECONDITION_PARITIES]
 
 #: odd positions q of each p = 3 parity class, in A_order
 _Q3 = np.array([sum(pi) for pi in parity_classes(3)])
@@ -73,16 +67,26 @@ def _cell_terms(p: int) -> np.ndarray:
                      dtype=np.uint8)
 
 
+def _cell_sum(f: FrequencyVector) -> np.ndarray:
+    """The one evaluation of f, its F-weighted sum of `_cell_terms` rows
+    over its nonzero cells: K = C F, A = B F, the p = 3 preconditions and
+    the dual pass are all read off it."""
+    if not 1 <= f.p <= MAX_P:
+        raise ValueError(f"p must be in 1..{MAX_P}, got {f.p}")
+    counts = np.asarray(f.counts, dtype=np.int64)
+    nonzero = np.flatnonzero(counts)
+    return np.einsum("vw,v->w", _cell_terms(f.p)[nonzero], counts[nonzero],
+                     dtype=np.int64)
+
+
 @functools.cache
-def _system_arrays(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """C (uint8) and B (int64) of `build_system(p)`, built once per p
-    without assembling the system: row w of C is Lee(v.w) over the cells
-    v, for each canonical wordtype w, and row pi of B is the parity of
-    v.pi, for each parity class pi."""
-    kinds = cell_index(np.array(canonical_wordtypes(p)))
-    c = _cell_terms(p).T[kinds - 1]
-    b = cell_digits(np.arange(4 ** p), p) @ np.array(parity_classes(p)).T
-    return c, np.ascontiguousarray((b % 2).T)
+def _system_columns(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the paper's system reads a table sum: the column w - 1 of
+    each canonical wordtype w (K), and dot(u, pi) over the parity
+    patterns u, for each parity class pi (A = mass @ it)."""
+    kinds = cell_index(np.array(canonical_wordtypes(p))) - 1
+    classes = np.array(parity_classes(p)) @ (1 << np.arange(p))
+    return kinds, _dual_tables(p)[3][:, classes]
 
 
 @dataclass(frozen=True)
@@ -94,15 +98,14 @@ class TheoryEvaluation:
     a_values: tuple[int, ...]
 
 
-def evaluate(f: FrequencyVector, system: EquationSystem | None = None
-             ) -> TheoryEvaluation:
-    if system is not None and system.p != f.p:
-        raise ValueError(f"system is for p={system.p}, vector for p={f.p}")
-    c, b = _system_arrays(f.p)
-    fv = np.asarray(f.counts, dtype=np.int64)
-    # einsum sums in int64 without an int64 copy of C (68 MB at p = 6)
-    k, a = np.einsum("wv,v->w", c, fv, dtype=np.int64), b @ fv
-    return TheoryEvaluation(f.p, tuple(k.tolist()), tuple(a.tolist()))
+def evaluate(f: FrequencyVector) -> TheoryEvaluation:
+    return _evaluation(_cell_sum(f), f.p)
+
+
+def _evaluation(terms: np.ndarray, p: int) -> TheoryEvaluation:
+    kinds, dot = _system_columns(p)
+    return TheoryEvaluation(p, tuple(terms[kinds].tolist()),
+                            tuple((terms[4 ** p - 1:] @ dot).tolist()))
 
 
 def parity_class_sums(f: FrequencyVector) -> dict[tuple[int, ...], int]:
@@ -113,8 +116,8 @@ def precondition_sums(f: FrequencyVector) -> dict[tuple[int, ...], int]:
     """Frequency mass on each of the three mixed parity patterns."""
     if f.p != 3:
         raise ValueError("preconditions are defined for p = 3 only")
-    masses = _PRECONDITION_MASK @ np.asarray(f.counts, dtype=np.int64)
-    return dict(zip(_PRECONDITION_PARITIES, masses.tolist()))
+    masses = _cell_sum(f)[_PRECONDITION_COLUMNS].tolist()
+    return dict(zip(_PRECONDITION_PARITIES, masses))
 
 
 def preconditions_met(f: FrequencyVector) -> bool:
@@ -140,21 +143,25 @@ def theory_spectrum(f: FrequencyVector) -> WordSpectrum:
     even wordtypes contribute one completely aliased word each.  The
     spectrum is read off the dual pass, which agrees with that form.
     """
-    _require_preconditions(f)
-    return _dual_spectrum(f, 2 * sum(f.counts) + 2 * f.p)
+    terms = _require_preconditions(f)
+    return _dual_spectrum(terms, 3, 2 * sum(f.counts) + 6)
 
 
-def _require_preconditions(f: FrequencyVector) -> None:
+def _require_preconditions(f: FrequencyVector) -> np.ndarray:
+    """f's table sum, once f is known to meet the p = 3 preconditions."""
     if f.p != 3:
         raise ValueError(
             f"the paper's closed form covers p = 3 only, got p = {f.p}")
-    bad = [pi for pi, v in precondition_sums(f).items() if v == 0]
+    terms = _cell_sum(f)
+    bad = [pi for pi, v in zip(_PRECONDITION_PARITIES,
+                               terms[_PRECONDITION_COLUMNS]) if v == 0]
     if bad:
         names = ", ".join("".join(map(str, pi)) for pi in bad)
         raise PreconditionError(
             f"no frequency mass on parity pattern(s) {names}; the "
             "paper's closed form does not apply here (analyze reads "
             "every F through the dual closed form)")
+    return terms
 
 
 def class_rhos(f: FrequencyVector) -> tuple[Fraction, ...]:
@@ -203,10 +210,10 @@ def _half_excess(excess: np.ndarray) -> np.ndarray:
     return excess >> 1
 
 
-def _dual_words(rows: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(L, e), each of shape (batch, 4^p - 1), for a (batch, n) array of
-    cells, each row the multiset of V's row patterns: column w - 1 holds
-    the dual word (w, -Vw) of each nonzero w in Z4^p.
+def _dual_words(terms: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(L, e), each of shape (batch, 4^p - 1), for a batch of table sums
+    (`_cell_terms` rows summed over V's rows): column w - 1 holds the dual
+    word (w, -Vw) of each nonzero w in Z4^p.
 
     That word has Lee length L_w = Lee(w) + sum_v F_v Lee(v.w), and
     stands for 2^(k-d-r) words of that length in the binary design, each
@@ -220,9 +227,7 @@ def _dual_words(rows: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     So the GWLP is A_k = #{w != 0 : L_w = k}.
     """
     lee, pattern, size, dot, within, leaves, pairs = _dual_tables(p)
-    shape = (len(rows), len(dot), len(dot))
-    terms = sum(_cell_terms(p)[rows[:, i:i + _TERM_ROWS]].sum(
-        axis=1, dtype=np.int64) for i in range(0, rows.shape[1], _TERM_ROWS))
+    shape = (len(terms), len(dot), len(dot))
     lengths, mass = lee + terms[:, :len(lee)], terms[:, len(lee):]
     k = size + mass @ dot
     # delta leaves D_pi when a cell u of mass has dot(u, pi) even and
@@ -235,15 +240,10 @@ def _dual_words(rows: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return lengths, _half_excess(excess)[:, pattern]
 
 
-def _rows(f: FrequencyVector) -> np.ndarray:
-    """F as a batch of one row multiset."""
-    return np.repeat(np.arange(4 ** f.p), f.counts)[None]
-
-
-def _dual_spectrum(f: FrequencyVector, max_len: int) -> WordSpectrum:
-    """The spectrum of the words 3..max_len long: each nonzero w adds
-    4^e words of aliasing index 2^-e at length L_w."""
-    lengths, exps = (a[0] for a in _dual_words(_rows(f), f.p))
+def _dual_spectrum(terms: np.ndarray, p: int, max_len: int) -> WordSpectrum:
+    """The spectrum of the words 3..max_len long, from one table sum:
+    each nonzero w adds 4^e words of aliasing index 2^-e at length L_w."""
+    lengths, exps = (a[0] for a in _dual_words(terms[None], p))
     keep = (lengths >= 3) & (lengths <= max_len)
     # e <= L / 2, so L * (max_len + 1) + e is one int per (L, e) cell
     cells, counts = np.unique(lengths[keep] * (max_len + 1) + exps[keep],
@@ -291,12 +291,14 @@ def analyze(g: GeneratorSpec, method: str = "theory",
                          f"p = {g.p}; use method 'bruteforce'")
 
     # F has 4^p cells, and nothing reads it above MAX_P
-    f = frequency_vector(g) if g.p <= MAX_P else None
-    ev = evaluate(f) if f is not None else TheoryEvaluation(g.p, (), ())
-    ok = preconditions_met(f) if g.p == 3 else g.p < 3
+    terms = _cell_sum(frequency_vector(g)) if g.p <= MAX_P else None
+    ev = (TheoryEvaluation(g.p, (), ()) if terms is None
+          else _evaluation(terms, g.p))
+    ok = bool(terms[_PRECONDITION_COLUMNS].all()) if g.p == 3 else g.p < 3
     rhos = _class_rhos(ev) if g.p == 3 and ok else ()
 
-    theory = None if method == "bruteforce" else _dual_spectrum(f, max_len)
+    theory = (None if method == "bruteforce"
+              else _dual_spectrum(terms, g.p, max_len))
     spec = theory
     if method != "theory":
         spec = spectrum_bruteforce(build_design(g), max_len, force=force)
@@ -343,13 +345,14 @@ def periodic_extend(f0: FrequencyVector, t: int) -> PeriodicFamily:
     picks up a factor 2^-16t (complete words stay completely aliased).
     Both shift identities are re-checked here on the actual vectors.
     The base's shortest length r and aliasing index rho = 2^-e are read
-    from its max_resolution key in the dual pass: r is the least word
-    length, and e the least exponent at r.
+    off the dual pass: r is the least word length of 3 or more (under
+    the preconditions, w = (2, 0, 0) alone has L_w >= 6), and e the
+    least exponent at r.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    _require_preconditions(f0)
-    ev0 = evaluate(f0)
+    terms0 = _require_preconditions(f0)
+    ev0 = _evaluation(terms0, 3)
     ft = FrequencyVector(f0.p, (f0.counts[0],)
                          + tuple(c + t for c in f0.counts[1:]))
     evt = evaluate(ft)
@@ -357,8 +360,8 @@ def periodic_extend(f0: FrequencyVector, t: int) -> PeriodicFamily:
         raise AssertionError("word-count shift identity violated")
     if any(b - a != 32 * t for a, b in zip(ev0.a_values, evt.a_values)):
         raise AssertionError("parity-sum shift identity violated")
-    [key] = _dual_keys(_rows(f0), f0.p, "max_resolution")
-    r0, e0 = (-x for x in key)
+    words = zip(*(a[0].tolist() for a in _dual_words(terms0[None], 3)))
+    r0, e0 = min(word for word in words if word[0] >= 3)
     r = r0 + 64 * t
     rho = Fraction(1, 2 ** (e0 + 16 * t)) if e0 else Fraction(1)
     return PeriodicFamily(f0, t, ft, r, rho, r + 1 - rho)
@@ -430,8 +433,7 @@ def _orbit_representatives(n: int, p: int):
             diff, (diff != 0).argmax(axis=-1)[..., None], axis=-1)[..., 0]
         least = (first >= 0).all(axis=0)
         fixed = (first[:, least] == 0).sum(axis=0)
-        mass = np.zeros((least.sum(), len(low)), dtype=np.int64)
-        np.add.at(mass, (np.arange(len(mass))[:, None], rows[least]), 1)
+        mass = _row_counts(rows[least], len(low))
         fibre = np.where(low != high, mass + 1, 1).prod(axis=1)
         yield rows[least], len(action) // fixed * fibre
 
@@ -453,16 +455,22 @@ def _ranked_orbits(n: int, p: int, criterion: str
 def _orbit_frequencies(classes: tuple[int, ...], p: int,
                        limit: int | None = None) -> list[tuple[int, ...]]:
     """Every frequency vector in the orbit of a multiset of pair classes,
-    F ascending, or only the first `limit` of them."""
+    F ascending, or only the first `limit` of them.  Each image under the
+    column group puts m rows on a class {c, -c}, which row negations split
+    j : m - j between its cells (m + 1 ways, one when c = -c); member t of
+    an image reads its j per class off t in that mixed radix."""
     low, high, action = _pair_classes(p)
-    n = len(classes)
     images = np.unique(np.sort(action[:, classes], axis=1), axis=0)
-    # each row of an image takes the low or the high cell of its class
-    high_cell = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1 == 1
-    rows = np.where(high_cell, high[images][:, None], low[images][:, None])
-    rows = np.unique(np.sort(rows.reshape(-1, n), axis=1), axis=0)
-    fmat = np.zeros((len(rows), 4 ** p), dtype=np.int64)
-    np.add.at(fmat, (np.arange(len(rows))[:, None], rows), 1)
+    mass = _row_counts(images, len(low))
+    radix = np.where(low != high, mass + 1, 1)
+    sizes = radix.prod(axis=1)
+    image = np.repeat(np.arange(len(images)), sizes)
+    t = np.arange(len(image)) - (np.cumsum(sizes) - sizes)[image]
+    stride = np.cumprod(radix, axis=1) // radix
+    j = t[:, None] // stride[image] % radix[image]
+    fmat = np.zeros((len(image), 4 ** p), dtype=np.int64)
+    fmat[:, low] = mass[image] - j
+    fmat[:, high] += j
     return list(map(tuple, fmat[np.lexsort(fmat.T[::-1])][:limit].tolist()))
 
 
@@ -533,7 +541,8 @@ def _dual_keys(rows: np.ndarray, p: int, criterion: str) -> list:
     first; or for gma the GWLP vector A_3.., each A_k the number of
     nonzero w with L_w = k, compared ascending."""
     span = 2 * rows.shape[1] + 2 * p + 1
-    lengths, e = _dual_words(rows, p)
+    lengths, e = _dual_words(
+        _cell_terms(p)[rows].sum(axis=1, dtype=np.int64), p)
     if criterion == "gma":
         return list(map(tuple, _row_counts(lengths, span)[:, 3:].tolist()))
     # e <= L / 2 < span, so the least L * span + e is the least L and the

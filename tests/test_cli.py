@@ -1,5 +1,6 @@
 """Command-line surface: formats, round trips, exit codes."""
 
+import io
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import qcode
 from conftest import miscount_scan, tamper_design_256x14
-from qcode.cli import _json, main
+from qcode.cli import _write_json, main
 from qcode.equations import build_system
 from qcode.golden import wordtype_str
 
@@ -121,7 +122,9 @@ JSON_VALUE = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(JSON_VALUE)
 def test_json_writer_matches_json_dumps(value):
-    assert _json(value) == json.dumps(value, indent=2) + "\n"
+    out = io.StringIO()
+    _write_json(out, value)
+    assert out.getvalue() == json.dumps(value, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
@@ -209,6 +212,24 @@ def test_extend_fixture(tmp_path, gen_file, capsys, examples):
         == examples["periodic_extension"]["Ft"]
 
 
+def test_failed_extend_writes_no_file(tmp_path, capsys, examples):
+    """At t = 892 the predicted rho's denominator, 2^14273, passes the
+    interpreter's 4,300-digit limit for printing an int: the payload is
+    rendered first, so the command fails before --output is written."""
+    f0, ft = tmp_path / "f0.json", tmp_path / "ft.json"
+    counts = [0] * 64
+    for c in examples["design_256x14"]["F_one_cells"]:
+        counts[c] = 1
+    f0.write_text(json.dumps(counts))
+    for fmt in ("json", "text"):
+        code, out, err = run(capsys, "extend", "--input", f0, "--t", 892,
+                             "--output", ft, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert "t = 892" in err and "4,300 digits" in err
+        assert not ft.exists()
+
+
 def test_exit_2_on_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "--input", "/no/such/file")
     assert code == 2 and "analyze:" in err
@@ -235,6 +256,21 @@ def test_exit_2_on_out_of_range_design_cell(tmp_path, capsys):
                        "--method", "bruteforce")
     assert code == 2
     assert err.count("\n") == 1 and "+1 or -1" in err
+
+
+def test_search_expands_orbits_of_64_rows(capsys):
+    """An orbit is expanded into its members, not into the 2^n sign
+    patterns of its rows: the best design puts all 64 rows on cell 2,
+    and the top 50 also take orbits with 42 or 43 rows on {1, 3}."""
+    code, out, _ = run(capsys, "search", "--n", 64, "--p", 1)
+    assert code == 0
+    [best] = json.loads(out)
+    assert (best["F"], best["resolution"]) == ([0, 0, 64, 0], "129")
+    code, out, _ = run(capsys, "search", "--n", 64, "--p", 1, "--top", 50)
+    assert code == 0
+    ranked = json.loads(out)
+    assert len(ranked) == 50 and ranked[0] == best
+    assert len({tuple(row["F"]) for row in ranked}) == 50
 
 
 def test_exit_3_on_search_budget(capsys):

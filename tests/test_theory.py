@@ -25,10 +25,11 @@ from qcode import (FrequencyVector, GeneratorSpec, PreconditionError,
                    preconditions_met, search, spectrum_bruteforce,
                    summarize, theory_spectrum)
 from qcode.equations import build_system, canonical_wordtypes, cells
-from qcode.theory import (WORK_BUDGET, _best_frequencies, _dual_keys,
-                          _dual_words, _half_excess, _orbit_frequencies,
-                          _orbit_representatives, _pair_classes,
-                          _ranked_orbits, _system_arrays, search_work)
+from qcode.theory import (WORK_BUDGET, _best_frequencies, _cell_sum,
+                          _cell_terms, _dual_keys, _dual_words, _half_excess,
+                          _orbit_frequencies, _orbit_representatives,
+                          _pair_classes, _ranked_orbits, _system_columns,
+                          search_work)
 from qcode.z4 import LEE_WEIGHTS, cell_index
 
 HALF = Fraction(1, 2)
@@ -38,11 +39,6 @@ def test_evaluate_frozen_design(f256, design256):
     ev = evaluate(f256)
     assert list(ev.a_values) == design256[1]["A"]
     assert list(ev.k_values) == design256[1]["K"]
-
-
-def test_evaluate_rejects_wrong_width(systems):
-    with pytest.raises(ValueError):
-        evaluate(FrequencyVector(2, (1,) + (0,) * 15), systems[3])
 
 
 def test_precondition_sums(f256):
@@ -188,7 +184,7 @@ def test_dual_pass_holds_the_paper_theorem(data):
     f = FrequencyVector(3, tuple(np.bincount(rows, minlength=64).tolist()))
     assert preconditions_met(f)
     ev, sysm = evaluate(f), build_system(3)
-    lengths, e = _dual_words(np.array([rows]), 3)
+    lengths, e = _dual_words(_cell_sum(f)[None], 3)
     for w, const, k in zip(sysm.k_order, sysm.constants, ev.k_values):
         col = cell_index(np.array(w)) - 1
         assert lengths[0, col] == const + k
@@ -228,23 +224,55 @@ def test_analyze_bruteforce_above_max_p():
 
 
 def test_evaluate_arrays_built_once_per_p(f256):
-    c3 = _system_arrays(3)[0]
-    assert c3 is _system_arrays(3)[0]
-    assert _system_arrays(2)[0] is _system_arrays(2)[0]
-    assert evaluate(f256).k_values == tuple((c3 @ f256.counts).tolist())
+    """The table and the column maps that `evaluate` reads are cached per
+    p, and K is the table's F-weighted row sum at the canonical
+    wordtypes."""
+    assert _cell_terms(3) is _cell_terms(3)
+    assert _system_columns(2)[1] is _system_columns(2)[1]
+    kinds = _system_columns(3)[0]
+    k = np.asarray(f256.counts) @ _cell_terms(3)[:, kinds].astype(np.int64)
+    assert evaluate(f256).k_values == tuple(k.tolist())
 
 
 @pytest.mark.parametrize("p", range(1, 7))
 def test_system_arrays_match_the_assembled_system(p):
-    """C and B read off the Lee(v.w) table equal the rows that the
-    equation system assembles by its moves, and each canonical
-    wordtype's constant is its Lee weight."""
+    """K and A read off one table sum equal C F and B F with the C and B
+    that the equation system assembles by its moves, on random F with
+    counts well above 1; each canonical wordtype's C row is its column
+    of the Lee(v.w) table; and its constant is its Lee weight."""
     sysm = build_system(p)
-    c, b = _system_arrays(p)
-    assert (c == np.array(sysm.c_matrix())).all()
-    assert (b == np.array(sysm.b_matrix())).all()
+    c, b = np.array(sysm.c_matrix()), np.array(sysm.b_matrix())
+    kinds = cell_index(np.array(sysm.k_order)) - 1
+    assert (_cell_terms(p)[:, kinds].T == c).all()
+    gen = np.random.default_rng(p)
+    for cells_used in (1, min(5, 4 ** p), 4 ** p):
+        counts = np.zeros(4 ** p, dtype=np.int64)
+        counts[gen.choice(4 ** p, cells_used, replace=False)] = \
+            gen.integers(1, 1000, cells_used)
+        ev = evaluate(FrequencyVector(p, tuple(counts.tolist())))
+        assert ev.k_values == tuple((c @ counts).tolist())
+        assert ev.a_values == tuple((b @ counts).tolist())
     assert sysm.constants == tuple(sum(LEE_WEIGHTS[x] for x in w)
                                    for w in sysm.k_order)
+
+
+def test_one_table_sum_per_analyze_and_two_per_extension(
+        monkeypatch, rng, design256, f256):
+    """`analyze` reads K, A, the preconditions and the spectrum off one
+    F-weighted sum of the table; `periodic_extend` sums it once for f0
+    and once for ft."""
+    import qcode.theory as theory
+    table, calls = theory._cell_terms, []
+    monkeypatch.setattr(theory, "_cell_terms",
+                        lambda p: calls.append(p) or table(p))
+    for g in (design256[0], random_generator(rng, 13, 3),
+              random_generator(rng, 4, 6)):
+        calls.clear()
+        analyze(g, method="theory")
+        assert calls == [g.p]
+    calls.clear()
+    periodic_extend(f256, 2)
+    assert calls == [3, 3]
 
 
 def test_analyze_small_p_both(rng):
@@ -269,7 +297,7 @@ def test_wordlength_parity_within_class(rng, systems):
     sysm = systems[3]
     for _ in range(5):
         f = frequency_vector(random_precondition_generator(rng, 4))
-        ev = evaluate(f, sysm)
+        ev = evaluate(f)
         by_class = {}
         for w, k in zip(sysm.k_order, ev.k_values):
             pi = tuple(x % 2 for x in w)
@@ -354,15 +382,14 @@ def test_periodic_prediction_keeps_complete_word(t):
     assert (fam.predicted_r, fam.predicted_rho) == (6 + 64 * t, 1)
 
 
-def test_shift_identities_random(rng, systems):
-    sysm = systems[3]
+def test_shift_identities_random(rng):
     for _ in range(10):
         f0 = frequency_vector(random_precondition_generator(rng, 4))
-        base = evaluate(f0, sysm)
+        base = evaluate(f0)
         for t in (1, 2, 3):
             counts = tuple(c if i == 0 else c + t
                            for i, c in enumerate(f0.counts))
-            shifted = evaluate(FrequencyVector(3, counts), sysm)
+            shifted = evaluate(FrequencyVector(3, counts))
             assert all(b - a == 64 * t for a, b in
                        zip(base.k_values, shifted.k_values))
             assert all(b - a == 32 * t for a, b in
@@ -493,15 +520,17 @@ def test_batched_oracle_keys_match_single_design(data):
         assert _dual_keys(rows, p, criterion) == want
 
 
-def test_dual_words_gather_long_row_sets_in_blocks(monkeypatch, rng):
-    """A row set longer than `_TERM_ROWS` is summed a block at a time, to
-    the same lengths and exponents."""
-    import qcode.theory as theory
-    rows = np.sort(rng.integers(0, 64, (5, 11)), axis=1)
-    whole = _dual_words(rows, 3)
-    monkeypatch.setattr(theory, "_TERM_ROWS", 4)
-    blocks = _dual_words(rows, 3)
-    assert all((a == b).all() for a, b in zip(whole, blocks))
+@pytest.mark.parametrize("p, n", [(3, 5000), (6, 20000)])
+def test_cell_sum_of_a_long_f_equals_the_row_gather(p, n, rng):
+    """The F-weighted sum over F's nonzero cells equals the table gathered
+    at every one of F's n rows and summed (a block of rows at a time, to
+    keep the gather small)."""
+    counts = np.bincount(rng.integers(0, 4 ** p, n), minlength=4 ** p)
+    rows = np.repeat(np.arange(4 ** p), counts)
+    want = sum(_cell_terms(p)[rows[i:i + 4096]].sum(axis=0, dtype=np.int64)
+               for i in range(0, n, 4096))
+    got = _cell_sum(FrequencyVector(p, tuple(counts.tolist())))
+    assert got.dtype == np.int64 and (got == want).all()
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -581,6 +610,27 @@ def test_orbit_counts_p3(n, orbits):
     chunks = list(_orbit_representatives(n, 3))
     assert sum(len(reps) for reps, _ in chunks) == orbits
     assert sum(int(m.sum()) for _, m in chunks) == candidate_count(n, 3)
+
+
+@pytest.mark.parametrize("n, p", [(1, 1), (2, 1), (9, 1), (20, 1), (64, 1),
+                                  (4, 2), (8, 2), (20, 2)])
+def test_orbit_expansion_counts_its_members(n, p):
+    """Each orbit expands to exactly `members` distinct frequency vectors,
+    F ascending, each with f_0 = 0 summing to n and with the class masses
+    of an image of the orbit's multiset.  The orbits are those of the
+    first chunk of representatives, or about 200 evenly spaced ones."""
+    low, high, action = _pair_classes(p)
+    reps, members = next(_orbit_representatives(n, p))
+    step = max(1, len(reps) // 200)
+    for classes, m in zip(reps[::step].tolist(), members[::step].tolist()):
+        fs = _orbit_frequencies(tuple(classes), p)
+        assert len(fs) == m == len(set(fs)) and fs == sorted(fs)
+        images = {tuple(sorted(row)) for row in action[:, classes].tolist()}
+        for f in fs:
+            assert f[0] == 0 and sum(f) == n
+            mass = [f[lo] + f[hi] if lo != hi else f[lo]
+                    for lo, hi in zip(low.tolist(), high.tolist())]
+            assert tuple(np.repeat(np.arange(len(low)), mass)) in images
 
 
 @pytest.mark.parametrize("n, p", list(itertools.product((1, 2, 3),
