@@ -15,6 +15,7 @@ import contextlib
 import functools
 import json
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -44,12 +45,12 @@ def _output(args):
 
 def _emit(args, payload, text) -> None:
     """Write a result to `_output(args)`: `payload` as JSON, or with
-    --format text, the text that `text(payload)` renders."""
+    --format text, the lines that `text(payload)` yields, one at a time."""
     with _output(args) as fh:
         if args.format == "json":
             _write_json(fh, payload)
         else:
-            fh.write(text(payload))
+            fh.writelines(text(payload))
 
 
 _LITERALS = {None: "null", True: "true", False: "false"}
@@ -121,29 +122,27 @@ def _report_payload(runs: int, factors: int, method: str,
     }
 
 
-def _report_text(payload: dict, summary) -> str:
-    lines = [f"runs={payload['runs']} factors={payload['factors']} "
-             f"method={payload['method']}",
-             "length rho count"]
-    lines += [f"{row['length']} {row['rho']} {row['count']}"
-              for row in payload["spectrum"]]
-    lines.append("gwlp " + " ".join(payload["gwlp"]))
+def _report_text(payload: dict, summary) -> Iterator[str]:
+    yield (f"runs={payload['runs']} factors={payload['factors']} "
+           f"method={payload['method']}\n")
+    yield "length rho count\n"
+    for row in payload["spectrum"]:
+        yield f"{row['length']} {row['rho']} {row['count']}\n"
+    yield "gwlp " + " ".join(payload["gwlp"]) + "\n"
     res = payload["resolution"]
     if summary.resolution is not None:
         res += f" ({fixed_point_7(summary.resolution)})"
-    lines.append(f"resolution = {res}")
-    return "\n".join(lines) + "\n"
+    yield f"resolution = {res}\n"
 
 
-def _matrices_text(payload: dict) -> str:
-    lines = [f"p={payload['p']}"]
+def _matrices_text(payload: dict) -> Iterator[str]:
+    yield f"p={payload['p']}\n"
     for label, const, row in zip(payload["K_order"],
                                  payload["constants"], payload["C"]):
-        lines.append(f"k_{label} (+{const}): " + " ".join(map(str, row)))
+        yield f"k_{label} (+{const}): " + " ".join(map(str, row)) + "\n"
     for label, delta, row in zip(payload["A_order"],
                                  payload["deltas"], payload["B"]):
-        lines.append(f"a_{label} (delta {delta}): " + " ".join(map(str, row)))
-    return "\n".join(lines) + "\n"
+        yield f"a_{label} (delta {delta}): " + " ".join(map(str, row)) + "\n"
 
 
 def cmd_construct(args) -> int:
@@ -220,7 +219,7 @@ def cmd_search(args) -> int:
         "resolution": rep.summary.resolution_text(),
         "witness_V": [list(row) for row in generator_for_frequency(f).V],
     } for f, rep in results]
-    _emit(args, payload, lambda payload: "".join(
+    _emit(args, payload, lambda payload: (
         f"#{i} resolution={row['resolution']} F={row['F']} "
         f"V={row['witness_V']}\n" for i, row in enumerate(payload, 1)))
     return EXIT_OK

@@ -154,9 +154,12 @@ def scan_cost(factors: int, runs: int, max_len: int) -> int:
 
 
 def _popcount(a: np.ndarray) -> np.ndarray:
+    """uint8 count of the one bits of |a|, as numpy 2's `bitwise_count`
+    gives it; unpacked byte by byte on an older numpy."""
     if hasattr(np, "bitwise_count"):
         return np.bitwise_count(a)
-    bits = np.unpackbits(a.astype(np.uint64)[..., None].view(np.uint8), axis=-1)
+    magnitude = np.abs(a).astype(np.uint64)
+    bits = np.unpackbits(magnitude[..., None].view(np.uint8), axis=-1)
     return bits.sum(axis=-1, dtype=np.uint8)
 
 

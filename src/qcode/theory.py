@@ -14,7 +14,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, isqrt
 
 import numpy as np
 
@@ -30,8 +30,16 @@ from .z4 import (LEE_WEIGHTS, FrequencyVector, GeneratorSpec, build_design,
 #: prices at 1.8e8 and ranks in well under a minute; search(7, 3) at 1.1e9)
 WORK_BUDGET = 2 * 10 ** 8
 
-#: multisets of pair classes canonicalized per numpy step
-_ENUM_CHUNK = 8192
+#: array cells per numpy step of search: images of count rows when it
+#: grows the orbits, and table sums with their length counts when it
+#: scores them
+_STEP_CELLS = 2 ** 18
+
+#: the largest n (the sum of F, V's rows) for which the closed form's
+#: int64 arithmetic is exact at every p up to MAX_P: its widest product
+#: is the packed key L * (2n + 2p + 1) + e of `_dual_spectrum` and
+#: `_dual_keys`, which needs (2n + 2p + 1)^2 < 2^63
+_MAX_N = (isqrt(2 ** 63 - 1) - 2 * MAX_P - 1) // 2
 
 
 class PreconditionError(ValueError):
@@ -73,6 +81,10 @@ def _cell_sum(f: FrequencyVector) -> np.ndarray:
     the dual pass are all read off it."""
     if not 1 <= f.p <= MAX_P:
         raise ValueError(f"p must be in 1..{MAX_P}, got {f.p}")
+    if f.n > _MAX_N:
+        raise ValueError(f"the closed form's int64 arithmetic is exact for "
+                         f"F summing to at most {_MAX_N:,}; this F sums to "
+                         "more")
     counts = np.asarray(f.counts, dtype=np.int64)
     nonzero = np.flatnonzero(counts)
     return np.einsum("vw,v->w", _cell_terms(f.p)[nonzero], counts[nonzero],
@@ -165,10 +177,9 @@ def _require_preconditions(f: FrequencyVector) -> np.ndarray:
 
 
 def class_rhos(f: FrequencyVector) -> tuple[Fraction, ...]:
-    """Aliasing index per odd parity class, aligned with A_order (p = 3)."""
-    if f.p != 3:
-        raise ValueError(f"class rhos cover p = 3 only, got p = {f.p}")
-    return _class_rhos(evaluate(f))
+    """Aliasing index per odd parity class, aligned with A_order, where
+    the paper's p = 3 closed form applies (its preconditions hold)."""
+    return _class_rhos(_evaluation(_require_preconditions(f), 3))
 
 
 def _class_rhos(ev: TheoryEvaluation) -> tuple[Fraction, ...]:
@@ -360,10 +371,10 @@ def periodic_extend(f0: FrequencyVector, t: int) -> PeriodicFamily:
         raise AssertionError("word-count shift identity violated")
     if any(b - a != 32 * t for a, b in zip(ev0.a_values, evt.a_values)):
         raise AssertionError("parity-sum shift identity violated")
-    words = zip(*(a[0].tolist() for a in _dual_words(terms0[None], 3)))
-    r0, e0 = min(word for word in words if word[0] >= 3)
-    r = r0 + 64 * t
-    rho = Fraction(1, 2 ** (e0 + 16 * t)) if e0 else Fraction(1)
+    # the base's key is (-r0, -e0), its least length r0 and exponent there
+    [(neg_r0, neg_e0)] = _dual_keys(terms0[None], f0.n, 3, "max_resolution")
+    r = 64 * t - neg_r0
+    rho = Fraction(1, 2 ** (16 * t - neg_e0)) if neg_e0 else Fraction(1)
     return PeriodicFamily(f0, t, ft, r, rho, r + 1 - rho)
 
 
@@ -386,12 +397,14 @@ def _pair_classes(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     action on them.
 
     Returns the low and high cell of each class (equal for a self-paired,
-    all-even cell), classes ordered by low cell, and a (p! * 2^p, classes)
-    table: row g holds the class to which column operation g, a
-    permutation of V's columns followed by negation of some of them,
-    sends each class.  Both symmetries leave the spectrum unchanged:
-    negating a row of V swaps one Gray column pair, and so does negating a
-    column, while permuting columns permutes the pairs.
+    all-even cell), classes ordered by low cell, and the moves: the
+    distinct class permutations made by a column operation, a permutation
+    of V's columns followed by negation of some of them.  Row g holds the
+    class to which move g sends each class; the moves are closed under
+    inverses, so `counts[moves]` holds every image of a row of class
+    counts.  Both symmetries leave the spectrum unchanged: negating a row
+    of V swaps one Gray column pair, and so does negating a column, while
+    permuting columns permutes the pairs.
     """
     digits = cell_digits(np.arange(4 ** p), p)
     neg = cell_index(-digits % 4)
@@ -401,70 +414,71 @@ def _pair_classes(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     perms = np.array(list(itertools.permutations(range(p))))
     signs = np.array(list(itertools.product((1, 3), repeat=p)))
     moved = cell_index(digits[low][:, perms][:, :, None] * signs % 4)
-    action = cls[moved.reshape(len(low), -1).T]
-    return low, neg[low], action.astype(np.min_scalar_type(len(low)))
+    return low, neg[low], np.unique(cls[moved.reshape(len(low), -1).T],
+                                    axis=0)
 
 
 def search_work(n: int, p: int) -> int:
     """The work `search` is priced at: the multisets of n pair classes,
     each canonicalized through the p! * 2^p column operations."""
-    low, _, action = _pair_classes(p)
-    return comb(n + len(low) - 1, n) * len(action)
+    return comb(n + len(_pair_classes(p)[0]) - 1, n) * factorial(p) << p
 
 
-def _orbit_representatives(n: int, p: int):
-    """Chunks of (classes, members): each multiset of n pair classes, as
-    a sorted row of class indexes, that is the lexicographic least of its
-    orbit under the column group, and how many frequency vectors (f_0 = 0,
-    summing to n) that orbit holds once rows may also be negated."""
-    low, high, action = _pair_classes(p)
-    multisets = itertools.combinations_with_replacement(range(len(low)), n)
-    while True:
-        rows = np.fromiter(
-            itertools.chain.from_iterable(
-                itertools.islice(multisets, _ENUM_CHUNK)),
-            dtype=action.dtype).reshape(-1, n)
-        if not rows.size:
-            return
-        # per operation and row: the first nonzero entry of image - row,
-        # or 0 when the operation fixes the row
-        diff = np.sort(action[:, rows], axis=-1).astype(np.int16) - rows
-        first = np.take_along_axis(
-            diff, (diff != 0).argmax(axis=-1)[..., None], axis=-1)[..., 0]
-        least = (first >= 0).all(axis=0)
-        fixed = (first[:, least] == 0).sum(axis=0)
-        mass = _row_counts(rows[least], len(low))
-        fibre = np.where(low != high, mass + 1, 1).prod(axis=1)
-        yield rows[least], len(action) // fixed * fibre
+def _orbit_representatives(n: int, p: int) -> np.ndarray:
+    """(orbits, classes): the greatest row of pair-class counts in each
+    orbit of the multisets of n classes under the column group, counts
+    compared from the first class on.  Such a row less one of its largest
+    class is the greatest of its own orbit (canonical augmentation; McKay,
+    J. Algorithms 26, 1998), so rows grow one class at a time."""
+    moves = _pair_classes(p)[2]
+    grow = np.eye(moves.shape[1], dtype=np.min_scalar_type(-n))
+    rows = np.zeros_like(grow[:1])
+    step = max(1, _STEP_CELLS // moves.size // len(grow))
+    for size in range(n):
+        kept = []
+        for lo in range(0, len(rows), step):
+            parents = rows[lo:lo + step]
+            # each parent plus one class no smaller than its largest
+            kids = (parents[:, None] + grow)[
+                parents.cumsum(axis=1, dtype=grow.dtype) == size]
+            # per kid and move: the first nonzero entry of image - kid, or
+            # 0 when the move fixes it; a kid is kept if none is positive
+            diff = kids[:, moves] - kids[:, None]
+            first = np.take_along_axis(
+                diff, (diff != 0).argmax(axis=2)[..., None], axis=2)
+            kept.append(kids[(first <= 0).all(axis=(1, 2))])
+        rows = np.concatenate(kept)
+    return rows
 
 
 def _ranked_orbits(n: int, p: int, criterion: str
-                   ) -> list[tuple[tuple, tuple[int, ...], int]]:
-    """(key, classes, members) per orbit, in key order; every member of an
-    orbit shares the key of its representative, whose rows are the low
-    cells of its classes."""
-    low = _pair_classes(p)[0]
-    ranked = []
-    for reps, members in _orbit_representatives(n, p):
-        ranked += zip(_dual_keys(low[reps], p, criterion),
-                      map(tuple, reps.tolist()), members.tolist())
-    ranked.sort(key=lambda orbit: orbit[0])
-    return ranked
+                   ) -> tuple[list[tuple], np.ndarray]:
+    """The orbits' keys in key order, and their rows of class counts in
+    that order; every member of an orbit shares the key of its
+    representative, whose table sum is its class counts times the
+    `_cell_terms` rows of the classes' low cells."""
+    table = _cell_terms(p)[_pair_classes(p)[0]].astype(np.int64)
+    reps = _orbit_representatives(n, p)
+    step = max(1, _STEP_CELLS // (table.shape[1] + 2 * n))
+    keys = []
+    for lo in range(0, len(reps), step):
+        keys += _dual_keys(reps[lo:lo + step] @ table, n, p, criterion)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [keys[i] for i in order], reps[order]
 
 
-def _orbit_frequencies(classes: tuple[int, ...], p: int,
+def _orbit_frequencies(counts: tuple[int, ...] | np.ndarray, p: int,
                        limit: int | None = None) -> list[tuple[int, ...]]:
-    """Every frequency vector in the orbit of a multiset of pair classes,
+    """Every frequency vector in the orbit of a row of pair-class counts,
     F ascending, or only the first `limit` of them.  Each image under the
     column group puts m rows on a class {c, -c}, which row negations split
     j : m - j between its cells (m + 1 ways, one when c = -c); member t of
     an image reads its j per class off t in that mixed radix."""
-    low, high, action = _pair_classes(p)
-    images = np.unique(np.sort(action[:, classes], axis=1), axis=0)
-    mass = _row_counts(images, len(low))
+    low, high, moves = _pair_classes(p)
+    mass = np.unique(np.asarray(counts)[moves], axis=0)
     radix = np.where(low != high, mass + 1, 1)
     sizes = radix.prod(axis=1)
-    image = np.repeat(np.arange(len(images)), sizes)
+    image = np.repeat(np.arange(len(mass)), sizes)
     t = np.arange(len(image)) - (np.cumsum(sizes) - sizes)[image]
     stride = np.cumprod(radix, axis=1) // radix
     j = t[:, None] // stride[image] % radix[image]
@@ -476,19 +490,15 @@ def _orbit_frequencies(classes: tuple[int, ...], p: int,
 
 def _best_frequencies(n: int, p: int, criterion: str, top: int
                       ) -> list[FrequencyVector]:
-    """The `top` least (key, F): whole orbits are taken in key order until
-    they hold `top` members, with every orbit tied with the last one, and
-    only those are expanded into frequency vectors."""
-    held, chosen = 0, []
-    for key, classes, members in _ranked_orbits(n, p, criterion):
-        if held >= top and key != chosen[-1][0]:
+    """The `top` least (key, F): whole orbits are expanded in key order,
+    each into at most `top` frequency vectors, until they hold `top`,
+    with every orbit tied with the last one."""
+    keyed = []
+    for key, counts in zip(*_ranked_orbits(n, p, criterion)):
+        if len(keyed) >= top and key != keyed[-1][0]:
             break
-        chosen.append((key, classes))
-        held += members
-    keyed = ((key, counts) for key, classes in chosen
-             for counts in _orbit_frequencies(classes, p, top))
-    return [FrequencyVector(p, counts)
-            for _, counts in heapq.nsmallest(top, keyed)]
+        keyed += ((key, f) for f in _orbit_frequencies(counts, p, top))
+    return [FrequencyVector(p, f) for _, f in heapq.nsmallest(top, keyed)]
 
 
 def search(n: int, p: int, criterion: str = "max_resolution",
@@ -501,19 +511,19 @@ def search(n: int, p: int, criterion: str = "max_resolution",
     to the frequency-vector encoding, ascending.  The spectrum depends
     only on the mass on each pair of cells {c, -c}, and is kept by every
     permutation and negation of V's columns, so candidates are scored
-    one orbit at a time: one representative per orbit of the multisets
-    of pair classes under the column group (758 orbits for the 43,680
-    candidates of search(3, 3), 5,694 for the 720,720 of search(4, 3)).
-    Every representative is scored by the dual closed form, from the Lee
-    lengths and Gauss-sum exponents of its 4^p - 1 nonzero dual words
-    (`_dual_keys`).  Only the orbits that reach the top `top` are
-    expanded into frequency vectors, and only the winners' reports are
-    computed, by `analyze(..., "theory")`: no design is built at all.
+    one orbit at a time: one row of pair-class counts per orbit under the
+    column group (758 orbits for the 43,680 candidates of search(3, 3),
+    5,694 for the 720,720 of search(4, 3)).  Each is scored by the dual
+    closed form, from the Lee lengths and Gauss-sum exponents of its
+    4^p - 1 nonzero dual words (`_dual_keys`), read off its table sum.
+    Only the orbits that reach the top `top` are expanded into frequency
+    vectors, and only the winners' reports are computed, by
+    `analyze(..., "theory")`: no design is built at all.
 
     The work is priced before any scoring (`search_work`: pair-class
-    multisets times the p! * 2^p column operations that canonicalize
-    each) and refused above `WORK_BUDGET` unless forced; search(6, 3) is
-    within it.
+    multisets times the p! * 2^p column operations, an admission rule
+    rather than the work done) and refused above `WORK_BUDGET` unless
+    forced; search(6, 3) is within it.
     """
     if criterion not in ("max_resolution", "gma"):
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -533,16 +543,15 @@ def search(n: int, p: int, criterion: str = "max_resolution",
             for f in _best_frequencies(n, p, criterion, top)]
 
 
-def _dual_keys(rows: np.ndarray, p: int, criterion: str) -> list:
-    """Exact minimize-oriented ranking key per row of a (batch, n) array
-    of cells, each row the multiset of V's row patterns, from the dual
-    pass: (-L, -e) for max_resolution, L the least word length and 2^-e
-    the largest aliasing index at L, so that deeper resolution sorts
-    first; or for gma the GWLP vector A_3.., each A_k the number of
-    nonzero w with L_w = k, compared ascending."""
-    span = 2 * rows.shape[1] + 2 * p + 1
-    lengths, e = _dual_words(
-        _cell_terms(p)[rows].sum(axis=1, dtype=np.int64), p)
+def _dual_keys(terms: np.ndarray, n: int, p: int, criterion: str) -> list:
+    """Exact minimize-oriented ranking key per row of a (batch,
+    4^p - 1 + 2^p) array of table sums, each that of an F summing to n,
+    from the dual pass: (-L, -e) for max_resolution, L the least word
+    length and 2^-e the largest aliasing index at L, so that deeper
+    resolution sorts first; or for gma the GWLP vector A_3.., each A_k
+    the number of nonzero w with L_w = k, compared ascending."""
+    span = 2 * n + 2 * p + 1
+    lengths, e = _dual_words(terms, p)
     if criterion == "gma":
         return list(map(tuple, _row_counts(lengths, span)[:, 3:].tolist()))
     # e <= L / 2 < span, so the least L * span + e is the least L and the

@@ -230,6 +230,30 @@ def test_failed_extend_writes_no_file(tmp_path, capsys, examples):
         assert not ft.exists()
 
 
+@pytest.mark.parametrize("counts, t", [
+    ([2 ** 62] * 63, 1),        # n is 63 * 2^62, past the int64 bound
+    ([10 ** 20] * 64, 1),       # each count past int64
+    (None, 10 ** 20),           # the extension past int64
+])
+def test_exit_2_past_the_int64_bound(tmp_path, capsys, examples, counts, t):
+    """F whose n the closed form's int64 arithmetic cannot hold exactly is
+    refused in one line, not wrapped (a wrong K, or a misleading "no
+    frequency mass") and not raised as an internal OverflowError."""
+    if counts is None:
+        counts = [0] * 64
+        for c in examples["design_256x14"]["F_one_cells"]:
+            counts[c] = 1
+    else:
+        counts = [0] + counts[-63:]
+    f0 = tmp_path / "f0.json"
+    f0.write_text(json.dumps(counts))
+    for fmt in ("json", "text"):
+        code, out, err = run(capsys, "extend", "--input", f0, "--t", t,
+                             "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "int64" in err
+
+
 def test_exit_2_on_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "--input", "/no/such/file")
     assert code == 2 and "analyze:" in err

@@ -18,8 +18,11 @@ from hypothesis import strategies as st
 
 from qcode.cli import main
 
+#: ints past int64 too, where the closed form must refuse, not overflow
+BIG = st.integers(2 ** 62, 10 ** 20)
+
 JUNK = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 70) | st.floats()
+    st.none() | st.booleans() | st.integers(-3, 70) | BIG | st.floats()
     | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.sampled_from(["n", "p", "V"]) | st.text(max_size=2),
@@ -96,7 +99,7 @@ COMMANDS = st.one_of(
         st.just(argv),
         st.integers(-1, 14).map(lambda m: argv + ("--max-length", m)))),
     st.just(("construct",)),
-    st.integers(-1, 3).map(lambda t: ("extend", "--t", t)))
+    (st.integers(-1, 3) | BIG).map(lambda t: ("extend", "--t", t)))
 
 
 @pytest.fixture(scope="module")

@@ -224,6 +224,27 @@ def test_subset_sizes_match_popcount():
         assert (sizes == full).all()
 
 
+def test_popcount_without_bitwise_count(monkeypatch, rng):
+    """The fallback for a numpy without `bitwise_count` (numpy < 2)
+    against `bitwise_count` itself: the same counts, as uint8, with the
+    top bits set and, on int64, negative values (counted on |a|)."""
+    samples = {
+        np.uint8: [0, 1, 0x80, 0xFF],
+        np.uint32: [0, 1, 0x80000000, 0xFFFFFFFF, 0x7FFFFFFF],
+        np.int64: [0, 1, -1, 2 ** 62, 2 ** 63 - 1, -2 ** 63, -2 ** 62 - 7],
+    }
+    want = {}
+    for dtype, values in samples.items():
+        a = np.array(values + rng.integers(0, 255, 8).tolist(), dtype=dtype)
+        samples[dtype] = a = np.stack([a, a[::-1]])
+        want[dtype] = np.bitwise_count(a)
+    monkeypatch.delattr(np, "bitwise_count")
+    for dtype, a in samples.items():
+        got = _popcount(a)
+        assert got.dtype == want[dtype].dtype == np.uint8
+        assert got.tolist() == want[dtype].tolist()
+
+
 def test_cell_keys_are_int64_past_a_uint8_product(rng):
     # runs = 64: width 65, so size 4 gives 260, past uint8
     sizes = np.array([3, 4, 4, 20], dtype=np.uint8)

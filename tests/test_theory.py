@@ -30,6 +30,7 @@ from qcode.theory import (WORK_BUDGET, _best_frequencies, _cell_sum,
                           _orbit_frequencies, _orbit_representatives,
                           _pair_classes, _ranked_orbits, _system_columns,
                           search_work)
+from qcode import theory
 from qcode.z4 import LEE_WEIGHTS, cell_index
 
 HALF = Fraction(1, 2)
@@ -72,6 +73,34 @@ def test_theory_spectrum_frozen_design(f256, design256):
     assert spec.entries == want
     rhos = class_rhos(f256)
     assert rhos == (HALF,) * 7
+
+
+def test_class_rhos_need_the_preconditions():
+    """V = ((2, 1, 1),) puts its one row on parity pattern 011 and none on
+    110 or 101: the paper's indices would read 1/2 for classes 101, 110
+    and 111, where the oracle finds every word completely aliased."""
+    g = GeneratorSpec(1, 3, ((2, 1, 1),))
+    f = frequency_vector(g)
+    with pytest.raises(PreconditionError, match="110, 101"):
+        class_rhos(f)
+    spec = spectrum_bruteforce(build_design(g), 8)
+    assert {rho for _, rho, _ in spec.entries} == {1}
+    with pytest.raises(ValueError, match="p = 2"):
+        class_rhos(FrequencyVector(2, (0, 1) + (0,) * 14))
+
+
+def test_evaluate_refuses_n_past_the_int64_bound():
+    """One count of 2^62 puts n past the largest n whose packed keys fit
+    int64; the sum itself would come back wrapped."""
+    counts = [0] * 64
+    counts[21] = 2 ** 62
+    with pytest.raises(ValueError, match="int64"):
+        evaluate(FrequencyVector(3, tuple(counts)))
+    bound = theory._MAX_N
+    assert (2 * bound + 2 * 6 + 1) ** 2 < 2 ** 63 \
+        <= (2 * bound + 2 + 2 * 6 + 1) ** 2
+    counts[21] = bound
+    assert evaluate(FrequencyVector(3, tuple(counts))).a_values[-1] > 0
 
 
 def test_parity_class_sums(f256, design256):
@@ -517,7 +546,14 @@ def test_batched_oracle_keys_match_single_design(data):
     for criterion in ("max_resolution", "gma"):
         want = [_key_from_summary(tuple(f), p, criterion)
                 for f in fmat.tolist()]
-        assert _dual_keys(rows, p, criterion) == want
+        assert _row_keys(rows, p, criterion) == want
+
+
+def _row_keys(rows, p, criterion):
+    """`_dual_keys` of a (batch, n) array of cells, each row the multiset
+    of V's row patterns, through its table sums gathered row by row."""
+    terms = _cell_terms(p)[rows].sum(axis=1, dtype=np.int64)
+    return _dual_keys(terms, rows.shape[1], p, criterion)
 
 
 @pytest.mark.parametrize("p, n", [(3, 5000), (6, 20000)])
@@ -537,7 +573,7 @@ def test_cell_sum_of_a_long_f_equals_the_row_gather(p, n, rng):
 @pytest.mark.parametrize("criterion", ["max_resolution", "gma"])
 def test_oracle_profiles_of_an_empty_batch(p, criterion):
     """A chunk of orbit representatives can hold no canonical row."""
-    assert _dual_keys(np.zeros((0, 3), dtype=np.intp), p, criterion) == []
+    assert _row_keys(np.zeros((0, 3), dtype=np.intp), p, criterion) == []
 
 
 def test_keys_reject_a_non_dyadic_index():
@@ -553,17 +589,21 @@ def test_keys_reject_a_non_dyadic_index():
 @pytest.mark.parametrize("p, most", [(1, 6), (2, 4), (3, 3)])
 def test_dual_keys_match_single_design_on_every_orbit(p, most):
     """Every orbit representative search scores, under both criteria,
-    against the single-design oracle."""
+    against the single-design oracle: through table sums gathered row by
+    row, and as search ranks it, from its class counts."""
     low = _pair_classes(p)[0]
     for n in range(1, most + 1):
-        for reps, _ in _orbit_representatives(n, p):
-            rows = low[reps]
-            fmat = np.zeros((len(rows), 4 ** p), dtype=np.int64)
-            np.add.at(fmat, (np.arange(len(rows))[:, None], rows), 1)
-            summaries = [_summary(tuple(f), p) for f in fmat.tolist()]
-            for criterion in ("max_resolution", "gma"):
-                want = [_key(d, s, criterion) for d, s in summaries]
-                assert _dual_keys(rows, p, criterion) == want
+        reps = _orbit_representatives(n, p)
+        rows = np.array([np.repeat(low, m) for m in reps])
+        fmat = np.zeros((len(rows), 4 ** p), dtype=np.int64)
+        np.add.at(fmat, (np.arange(len(rows))[:, None], rows), 1)
+        summaries = [_summary(tuple(f), p) for f in fmat.tolist()]
+        for criterion in ("max_resolution", "gma"):
+            want = [_key(d, s, criterion) for d, s in summaries]
+            assert _row_keys(rows, p, criterion) == want
+            keys, ranked = _ranked_orbits(n, p, criterion)
+            assert sorted(zip(keys, ranked.tolist())) \
+                == sorted(zip(want, reps.tolist()))
 
 
 @pytest.mark.parametrize("p, n", [(4, 1), (4, 2), (5, 1), (6, 1)])
@@ -574,7 +614,7 @@ def test_dual_keys_match_single_design_past_p3(rng, p, n):
         want = [_key_from_summary(tuple(np.bincount(r, minlength=4 ** p)
                                         .tolist()), p, criterion)
                 for r in rows]
-        assert _dual_keys(rows, p, criterion) == want
+        assert _row_keys(rows, p, criterion) == want
 
 
 def _spectrum(V, p):
@@ -607,25 +647,66 @@ def test_row_and_column_symmetries_keep_the_spectrum(data):
 
 @pytest.mark.parametrize("n, orbits", [(3, 758), (4, 5694)])
 def test_orbit_counts_p3(n, orbits):
-    chunks = list(_orbit_representatives(n, 3))
-    assert sum(len(reps) for reps, _ in chunks) == orbits
-    assert sum(int(m.sum()) for _, m in chunks) == candidate_count(n, 3)
+    reps = _orbit_representatives(n, 3)
+    assert len(reps) == orbits
+    assert sum(len(_orbit_frequencies(m, 3)) for m in reps) \
+        == candidate_count(n, 3)
+
+
+def _burnside_orbits(n, p):
+    """Orbits of the multisets of n pair classes {c, -c} under the signed
+    column permutations, by Burnside's lemma, built from the cells alone:
+    the mean over the group of the multisets an operation fixes, which is
+    [z^n] of the product over its cycles on the classes of 1/(1 - z^len)."""
+    cells = list(itertools.product(range(4), repeat=p))[1:]
+    pair = {c: min(c, tuple(-x % 4 for x in c)) for c in cells}
+    classes = sorted(set(pair.values()))
+    total = 0
+    ops = list(itertools.product(itertools.permutations(range(p)),
+                                 itertools.product((1, 3), repeat=p)))
+    for perm, signs in ops:
+        image = {c: pair[tuple(c[j] * s % 4 for j, s in zip(perm, signs))]
+                 for c in classes}
+        series, seen = [1] + [0] * n, set()
+        for start in classes:
+            length, c = 0, start
+            while c not in seen:
+                seen.add(c)
+                c, length = image[c], length + 1
+            # a new cycle of this length: times 1 / (1 - z^length)
+            for k in range(length, n + 1) if length else ():
+                series[k] += series[k - length]
+        total += series[n]
+    assert total % len(ops) == 0
+    return total // len(ops)
+
+
+@pytest.mark.parametrize("p, most", [(1, 64), (2, 12), (3, 5)])
+def test_orbit_count_matches_burnside(p, most):
+    """The grown count rows against an independent orbit count, one per
+    orbit; at p = 3 that is 758, 5,694 and 37,873 for n = 3..5."""
+    for n in range(1, most + 1):
+        assert len(_orbit_representatives(n, p)) == _burnside_orbits(n, p)
+    if p == 3:
+        assert [_burnside_orbits(n, 3) for n in (3, 4, 5)] \
+            == [758, 5694, 37873]
 
 
 @pytest.mark.parametrize("n, p", [(1, 1), (2, 1), (9, 1), (20, 1), (64, 1),
                                   (4, 2), (8, 2), (20, 2)])
 def test_orbit_expansion_counts_its_members(n, p):
-    """Each orbit expands to exactly `members` distinct frequency vectors,
-    F ascending, each with f_0 = 0 summing to n and with the class masses
-    of an image of the orbit's multiset.  The orbits are those of the
-    first chunk of representatives, or about 200 evenly spaced ones."""
-    low, high, action = _pair_classes(p)
-    reps, members = next(_orbit_representatives(n, p))
+    """Each orbit expands to distinct frequency vectors, F ascending, each
+    with f_0 = 0 summing to n and with the class masses of an image of the
+    orbit's row of class counts.  The orbits are all of them, or about
+    200 evenly spaced ones."""
+    low, high, moves = _pair_classes(p)
+    reps = _orbit_representatives(n, p)
     step = max(1, len(reps) // 200)
-    for classes, m in zip(reps[::step].tolist(), members[::step].tolist()):
-        fs = _orbit_frequencies(tuple(classes), p)
-        assert len(fs) == m == len(set(fs)) and fs == sorted(fs)
-        images = {tuple(sorted(row)) for row in action[:, classes].tolist()}
+    for counts in reps[::step].tolist():
+        fs = _orbit_frequencies(tuple(counts), p)
+        assert len(fs) == len(set(fs)) and fs == sorted(fs)
+        images = {tuple(np.repeat(np.arange(len(low)), m))
+                  for m in np.array(counts)[moves].tolist()}
         for f in fs:
             assert f[0] == 0 and sum(f) == n
             mass = [f[lo] + f[hi] if lo != hi else f[lo]
@@ -645,15 +726,13 @@ def test_orbit_ranking_expands_to_full_ranking(n, p):
     fmat = np.zeros((len(rows), 4 ** p), dtype=np.int64)
     np.add.at(fmat, (np.arange(len(rows))[:, None], rows), 1)
     for criterion in ("max_resolution", "gma"):
-        keys = _dual_keys(rows, p, criterion)
+        keys = _row_keys(rows, p, criterion)
         want = sorted(zip(keys, map(tuple, fmat.tolist())))
-        ranked = _ranked_orbits(n, p, criterion)
-        assert [k for k, _, _ in ranked] == sorted(k for k, _, _ in ranked)
+        ranked, reps = _ranked_orbits(n, p, criterion)
+        assert ranked == sorted(ranked) and len(reps) == len(ranked)
         got = []
-        for key, classes, members in ranked:
-            counts = _orbit_frequencies(classes, p)
-            assert len(counts) == members
-            got += [(key, f) for f in counts]
+        for key, counts in zip(ranked, reps):
+            got += [(key, f) for f in _orbit_frequencies(counts, p)]
         assert sorted(got) == want
         for top in (1, 2, 3, 7, 50):
             best = _best_frequencies(n, p, criterion, top)
