@@ -431,7 +431,8 @@ def _orbit_representatives(n: int, p: int) -> np.ndarray:
     class is the greatest of its own orbit (canonical augmentation; McKay,
     J. Algorithms 26, 1998), so rows grow one class at a time."""
     moves = _pair_classes(p)[2]
-    grow = np.eye(moves.shape[1], dtype=np.min_scalar_type(-n))
+    # the least signed type that holds both n and -n
+    grow = np.eye(moves.shape[1], dtype=np.min_scalar_type(-n - 1))
     rows = np.zeros_like(grow[:1])
     step = max(1, _STEP_CELLS // moves.size // len(grow))
     for size in range(n):
@@ -475,7 +476,7 @@ def _orbit_frequencies(counts: tuple[int, ...] | np.ndarray, p: int,
     j : m - j between its cells (m + 1 ways, one when c = -c); member t of
     an image reads its j per class off t in that mixed radix."""
     low, high, moves = _pair_classes(p)
-    mass = np.unique(np.asarray(counts)[moves], axis=0)
+    mass = np.unique(np.asarray(counts, dtype=np.int64)[moves], axis=0)
     radix = np.where(low != high, mass + 1, 1)
     sizes = radix.prod(axis=1)
     image = np.repeat(np.arange(len(mass)), sizes)

@@ -681,10 +681,11 @@ def _burnside_orbits(n, p):
     return total // len(ops)
 
 
-@pytest.mark.parametrize("p, most", [(1, 64), (2, 12), (3, 5)])
+@pytest.mark.parametrize("p, most", [(1, 130), (2, 12), (3, 5)])
 def test_orbit_count_matches_burnside(p, most):
     """The grown count rows against an independent orbit count, one per
-    orbit; at p = 3 that is 758, 5,694 and 37,873 for n = 3..5."""
+    orbit; at p = 3 that is 758, 5,694 and 37,873 for n = 3..5.  At p = 1
+    the count of a class reaches n past 127, one past the int8 range."""
     for n in range(1, most + 1):
         assert len(_orbit_representatives(n, p)) == _burnside_orbits(n, p)
     if p == 3:
@@ -712,6 +713,34 @@ def test_orbit_expansion_counts_its_members(n, p):
             mass = [f[lo] + f[hi] if lo != hi else f[lo]
                     for lo, hi in zip(low.tolist(), high.tolist())]
             assert tuple(np.repeat(np.arange(len(low)), mass)) in images
+
+
+@pytest.mark.parametrize("n", [126, 127, 128, 129])
+def test_count_rows_hold_a_count_of_n(n):
+    """At p = 1 the pair classes are {1, 3} and {2}, and no column
+    operation moves either, so the orbits are the n + 1 rows (a, n - a).
+    Every F, ranked one by one from its own table sum, against every
+    orbit expanded, and the search winners against its head: the rows
+    (n - 1, 0) and (n, 0) need a count of n, which int8 cannot hold at
+    n = 128, nor its radix n + 1 at n = 127."""
+    f1, f2 = np.triu_indices(n + 1)
+    fmat = np.stack([0 * f1, f1, f2 - f1, n - f2], axis=1)
+    assert len(fmat) == candidate_count(n, 1)
+    reps = _orbit_representatives(n, 1)
+    assert sorted(map(tuple, reps.tolist())) \
+        == [(a, n - a) for a in range(n + 1)]
+    for criterion in ("max_resolution", "gma"):
+        keys = _dual_keys(fmat[:, 1:] @ _cell_terms(1)[1:].astype(np.int64),
+                          n, 1, criterion)
+        want = sorted(zip(keys, map(tuple, fmat.tolist())))
+        ranked, rows = _ranked_orbits(n, 1, criterion)
+        got = [(key, f) for key, counts in zip(ranked, rows)
+               for f in _orbit_frequencies(counts, 1)]
+        assert sorted(got) == want
+        best = _best_frequencies(n, 1, criterion, len(want))
+        assert [f.counts for f in best] == [f for _, f in want]
+        winners = search(n, 1, criterion, top=3)
+        assert [f.counts for f, _ in winners] == [f for _, f in want[:3]]
 
 
 @pytest.mark.parametrize("n, p", list(itertools.product((1, 2, 3),
