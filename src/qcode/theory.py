@@ -371,10 +371,12 @@ def periodic_extend(f0: FrequencyVector, t: int) -> PeriodicFamily:
         raise AssertionError("word-count shift identity violated")
     if any(b - a != 32 * t for a, b in zip(ev0.a_values, evt.a_values)):
         raise AssertionError("parity-sum shift identity violated")
-    # the base's key is (-r0, -e0), its least length r0 and exponent there
-    [(neg_r0, neg_e0)] = _dual_keys(terms0[None], f0.n, 3, "max_resolution")
-    r = 64 * t - neg_r0
-    rho = Fraction(1, 2 ** (16 * t - neg_e0)) if neg_e0 else Fraction(1)
+    # the base's key is -(r0 * span + e0), span = 2n + 7 at p = 3: its
+    # least length r0 and the exponent e0 there
+    [key] = _dual_keys(terms0[None], f0.n, 3, "max_resolution").tolist()
+    r0, e0 = divmod(-key, 2 * f0.n + 7)
+    r = 64 * t + r0
+    rho = Fraction(1, 2 ** (16 * t + e0)) if e0 else Fraction(1)
     return PeriodicFamily(f0, t, ft, r, rho, r + 1 - rho)
 
 
@@ -453,19 +455,20 @@ def _orbit_representatives(n: int, p: int) -> np.ndarray:
 
 
 def _ranked_orbits(n: int, p: int, criterion: str
-                   ) -> tuple[list[tuple], np.ndarray]:
-    """The orbits' keys in key order, and their rows of class counts in
-    that order; every member of an orbit shares the key of its
-    representative, whose table sum is its class counts times the
-    `_cell_terms` rows of the classes' low cells."""
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The orbits' keys (`_dual_keys`) in key order, and their rows of
+    class counts in that order, ties kept in orbit order; every member of
+    an orbit shares the key of its representative, whose table sum is its
+    class counts times the `_cell_terms` rows of the classes' low cells."""
     table = _cell_terms(p)[_pair_classes(p)[0]].astype(np.int64)
     reps = _orbit_representatives(n, p)
     step = max(1, _STEP_CELLS // (table.shape[1] + 2 * n))
-    keys = []
-    for lo in range(0, len(reps), step):
-        keys += _dual_keys(reps[lo:lo + step] @ table, n, p, criterion)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return [keys[i] for i in order], reps[order]
+    keys = np.concatenate([_dual_keys(reps[lo:lo + step] @ table, n, p,
+                                      criterion)
+                           for lo in range(0, len(reps), step)])
+    # lexsort is stable and sorts on its last key first
+    order = np.lexsort(keys.reshape(len(keys), -1).T[::-1])
+    return keys[order], reps[order]
 
 
 def _orbit_frequencies(counts: tuple[int, ...] | np.ndarray, p: int,
@@ -496,6 +499,7 @@ def _best_frequencies(n: int, p: int, criterion: str, top: int
     with every orbit tied with the last one."""
     keyed = []
     for key, counts in zip(*_ranked_orbits(n, p, criterion)):
+        key = tuple(np.atleast_1d(key).tolist())
         if len(keyed) >= top and key != keyed[-1][0]:
             break
         keyed += ((key, f) for f in _orbit_frequencies(counts, p, top))
@@ -544,19 +548,22 @@ def search(n: int, p: int, criterion: str = "max_resolution",
             for f in _best_frequencies(n, p, criterion, top)]
 
 
-def _dual_keys(terms: np.ndarray, n: int, p: int, criterion: str) -> list:
+def _dual_keys(terms: np.ndarray, n: int, p: int,
+               criterion: str) -> np.ndarray:
     """Exact minimize-oriented ranking key per row of a (batch,
     4^p - 1 + 2^p) array of table sums, each that of an F summing to n,
-    from the dual pass: (-L, -e) for max_resolution, L the least word
-    length and 2^-e the largest aliasing index at L, so that deeper
-    resolution sorts first; or for gma the GWLP vector A_3.., each A_k
-    the number of nonzero w with L_w = k, compared ascending."""
+    from the dual pass.  For max_resolution one int64, -(L * span + e)
+    with span = 2n + 2p + 1: L the least word length and 2^-e the
+    largest aliasing index at L, so that deeper resolution sorts first.
+    For gma a row of the GWLP A_3.., each A_k the number of nonzero w
+    with L_w = k (at most 4^p - 1, so uint8 up to p = 4), compared
+    ascending."""
     span = 2 * n + 2 * p + 1
     lengths, e = _dual_words(terms, p)
     if criterion == "gma":
-        return list(map(tuple, _row_counts(lengths, span)[:, 3:].tolist()))
+        return _row_counts(lengths, span)[:, 3:].astype(
+            np.min_scalar_type(4 ** p - 1))
     # e <= L / 2 < span, so the least L * span + e is the least L and the
     # least e at it; a design with no word of length 3 or more gets L = span
-    least, e = np.divmod(np.where(lengths >= 3, lengths * span + e,
-                                  span * span).min(axis=1), span)
-    return list(zip((-least).tolist(), (-e).tolist()))
+    return -np.where(lengths >= 3, lengths * span + e,
+                     span * span).min(axis=1)

@@ -157,7 +157,9 @@ def codewords(g: GeneratorSpec) -> np.ndarray:
 def build_design(g: GeneratorSpec) -> BinaryDesign:
     """Gray image of the full code: 2^(2n) runs, 2(n+p) factors."""
     words = codewords(g)
-    cells = np.array(_GRAY, dtype=np.int8)[words].reshape(len(words), -1)
+    # each digit's pair of int8 levels, gathered as one int16
+    pairs = np.array(_GRAY, dtype=np.int8).view(np.int16)[:, 0]
+    cells = pairs[words].view(np.int8)
     return BinaryDesign(*cells.shape, cells)
 
 

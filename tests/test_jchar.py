@@ -22,8 +22,8 @@ from qcode import (BinaryDesign, BudgetExceeded, GeneratorSpec,
                    spectrum_bruteforce, summarize)
 from qcode import jchar
 from qcode.jchar import (_cell_keys, _popcount, _spectrum_dfs, _spectrum_wht,
-                         _subset_j, _subset_sizes, negation_masks, scan_cost,
-                         walsh_hadamard)
+                         _subset_j, _subset_sizes, _wht_in_place,
+                         negation_masks, scan_cost, walsh_hadamard)
 
 HALF = Fraction(1, 2)
 
@@ -170,6 +170,62 @@ def test_walsh_hadamard_delta_and_involution(rng):
     assert (walsh_hadamard(np.array([7])) == 7).all()
 
 
+def _wht_reference(a):
+    """The unblocked two-buffer transform: each constant-geometry stage
+    writes neighbouring pairs' sums and differences to the other buffer's
+    two halves, reading stride-2 views."""
+    half = a.shape[-1] // 2
+    buf = np.empty_like(a)
+    for _ in range(half.bit_length()):
+        even, odd = a[..., 0::2], a[..., 1::2]
+        np.add(even, odd, out=buf[..., :half])
+        np.subtract(even, odd, out=buf[..., half:])
+        a, buf = buf, a
+    return a
+
+
+def _histogram(rng, factors, dtype):
+    """Mask counts summing to the dtype's largest value, as runs: random
+    counts on a few cells of odd size, so the transform reaches +runs at
+    S = 0 and -runs at S = every column."""
+    runs = np.iinfo(dtype).max
+    counts = np.zeros(1 << factors, dtype=dtype)
+    odd = np.flatnonzero(_popcount(np.arange(1 << factors)) & 1)
+    if not len(odd):
+        counts[0] = runs
+        return counts
+    counts[rng.choice(odd, 40)] = rng.integers(0, runs // 64, 40)
+    counts[odd[0]] += runs - counts.sum(dtype=np.int64)
+    return counts
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+def test_blocked_wht_matches_the_two_buffer_transform(rng, dtype):
+    for factors in range(23):
+        counts = _histogram(rng, factors, dtype)
+        want = _wht_reference(counts.copy())
+        got = _wht_in_place(counts.copy())
+        assert got.dtype == dtype and (got == want).all(), factors
+        if factors:
+            assert want[0] == np.iinfo(dtype).max == -want[-1]
+
+
+@pytest.mark.parametrize("block_bits", [1, 2, 3])
+def test_blocked_wht_at_every_block_split(monkeypatch, rng, block_bits):
+    """Small blocks put every case in reach: fewer factors than block
+    bits, as many, up to twice as many, and more, where the high bits
+    take several passes; and a batch of rows, which shares the blocks
+    when the rows are short."""
+    monkeypatch.setattr(jchar, "_WHT_BLOCK_BITS", block_bits)
+    for factors in range(11):
+        for dtype in (np.int8, np.int16, np.int32):
+            counts = _histogram(rng, factors, dtype)
+            want = _wht_reference(counts.copy())
+            assert (_wht_in_place(counts.copy()) == want).all(), factors
+        batch = rng.integers(-5, 5, (3, 1 << factors))
+        assert (_wht_in_place(batch.copy()) == _wht_reference(batch)).all()
+
+
 def test_negation_masks_match_cells(d16x6):
     masks = negation_masks(d16x6)
     cells = np.asarray(d16x6.cells)
@@ -188,6 +244,17 @@ def test_negation_masks_stop_at_63_factors():
     assert (too_wide.runs, too_wide.factors) == (4, 64)
     with pytest.raises(ValueError, match="at most 63 factors, got 64"):
         negation_masks(too_wide)
+
+
+def test_masks_and_histogram_across_chunks(monkeypatch, rng):
+    """Chunks of 3 runs: the masks are packed chunk by chunk, and a mask
+    repeated in several chunks adds each chunk's count to its cell."""
+    base = rng.choice([-1, 1], size=(4, 9)).astype(np.int8)
+    d = BinaryDesign(14, 9, np.vstack([base, base, base, base[:2]]))
+    whole = negation_masks(d)
+    monkeypatch.setattr(jchar, "_MASK_RUNS", 3)
+    assert negation_masks(d).tolist() == whole.tolist()
+    assert _spectrum_dfs(d, 9) == _spectrum_wht(d, 9)
 
 
 def test_dfs_agrees_with_wht(rng):
@@ -214,6 +281,16 @@ def test_dfs_agrees_with_wht_on_repeated_runs_and_complete_words(rng):
     for d in (repeated, complete):
         for max_len in range(3, d.factors + 1):
             assert _spectrum_dfs(d, max_len) == _spectrum_wht(d, max_len)
+
+
+def test_dfs_agrees_with_wht_across_two_blocks(rng):
+    """18 factors are two WHT blocks, so the tally adds the second
+    block's subset sizes to its index's popcount; repeated runs put
+    counts above 1 in the histogram."""
+    base = rng.choice([-1, 1], size=(60, 18)).astype(np.int8)
+    d = BinaryDesign(150, 18, np.vstack([base, base, base[:30]]))
+    assert 1 << d.factors == 2 << jchar._WHT_BLOCK_BITS
+    assert _spectrum_dfs(d, 18) == _spectrum_wht(d, 18)
 
 
 def test_subset_sizes_match_popcount():
@@ -256,9 +333,9 @@ def test_cell_keys_are_int64_past_a_uint8_product(rng):
     assert _spectrum_dfs(d, 8) == _spectrum_wht(d, 8)
 
 
-def test_subset_j_transforms_in_two_buffers(rng):
-    # the histogram is one of the transform's two buffers; with a copy
-    # of it as a third, the peak would be 3x one buffer
+def test_subset_j_transforms_in_one_buffer_and_a_block(rng):
+    # the histogram is the transform's one buffer, plus a scratch block
+    # of 2^17 cells (1/8 of it here); a second buffer would double it
     d = BinaryDesign(64, 20, rng.choice([-1, 1], size=(64, 20)).astype(np.int8))
     tracemalloc.start()
     try:
@@ -267,7 +344,7 @@ def test_subset_j_transforms_in_two_buffers(rng):
     finally:
         tracemalloc.stop()
     assert j.size == 1 << 20
-    assert peak < 2.5 * j.nbytes
+    assert peak < 1.25 * j.nbytes
 
 
 _RHOS = st.integers(1, 30).flatmap(

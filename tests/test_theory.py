@@ -553,7 +553,19 @@ def _row_keys(rows, p, criterion):
     """`_dual_keys` of a (batch, n) array of cells, each row the multiset
     of V's row patterns, through its table sums gathered row by row."""
     terms = _cell_terms(p)[rows].sum(axis=1, dtype=np.int64)
-    return _dual_keys(terms, rows.shape[1], p, criterion)
+    n = rows.shape[1]
+    return _key_tuples(_dual_keys(terms, n, p, criterion), n, p, criterion)
+
+
+def _key_tuples(keys, n, p, criterion):
+    """Keys of `_dual_keys` as the tuples the oracle helpers give: the
+    GWLP row for gma, and (-L, -e) unpacked from -(L * span + e) for
+    max_resolution."""
+    if criterion == "gma":
+        return list(map(tuple, keys.tolist()))
+    span = 2 * n + 2 * p + 1
+    return [(-length, -e) for length, e in
+            (divmod(key, span) for key in (-keys).tolist())]
 
 
 @pytest.mark.parametrize("p, n", [(3, 5000), (6, 20000)])
@@ -602,6 +614,7 @@ def test_dual_keys_match_single_design_on_every_orbit(p, most):
             want = [_key(d, s, criterion) for d, s in summaries]
             assert _row_keys(rows, p, criterion) == want
             keys, ranked = _ranked_orbits(n, p, criterion)
+            keys = _key_tuples(keys, n, p, criterion)
             assert sorted(zip(keys, ranked.tolist())) \
                 == sorted(zip(want, reps.tolist()))
 
@@ -730,10 +743,12 @@ def test_count_rows_hold_a_count_of_n(n):
     assert sorted(map(tuple, reps.tolist())) \
         == [(a, n - a) for a in range(n + 1)]
     for criterion in ("max_resolution", "gma"):
-        keys = _dual_keys(fmat[:, 1:] @ _cell_terms(1)[1:].astype(np.int64),
-                          n, 1, criterion)
+        keys = _key_tuples(_dual_keys(
+            fmat[:, 1:] @ _cell_terms(1)[1:].astype(np.int64), n, 1,
+            criterion), n, 1, criterion)
         want = sorted(zip(keys, map(tuple, fmat.tolist())))
         ranked, rows = _ranked_orbits(n, 1, criterion)
+        ranked = _key_tuples(ranked, n, 1, criterion)
         got = [(key, f) for key, counts in zip(ranked, rows)
                for f in _orbit_frequencies(counts, 1)]
         assert sorted(got) == want
@@ -758,6 +773,7 @@ def test_orbit_ranking_expands_to_full_ranking(n, p):
         keys = _row_keys(rows, p, criterion)
         want = sorted(zip(keys, map(tuple, fmat.tolist())))
         ranked, reps = _ranked_orbits(n, p, criterion)
+        ranked = _key_tuples(ranked, n, p, criterion)
         assert ranked == sorted(ranked) and len(reps) == len(ranked)
         got = []
         for key, counts in zip(ranked, reps):
