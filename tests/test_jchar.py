@@ -194,7 +194,7 @@ def _histogram(rng, factors, dtype):
     if not len(odd):
         counts[0] = runs
         return counts
-    counts[rng.choice(odd, 40)] = rng.integers(0, runs // 64, 40)
+    counts[rng.choice(odd, 40)] = rng.integers(0, runs // 40 + 1, 40)
     counts[odd[0]] += runs - counts.sum(dtype=np.int64)
     return counts
 
