@@ -20,6 +20,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+import numpy as np
+
 from .equations import build_system
 from .golden import GoldenDataError, verify_all, wordtype_str
 from .jchar import (WordSpectrum, spectrum_bruteforce, summarize,
@@ -59,8 +61,10 @@ _LITERALS = {None: "null", True: "true", False: "false"}
 def _write_json(fh, payload) -> None:
     """Write `json.dumps(payload, indent=2) + "\n"` to `fh`, byte for
     byte, a chunk at a time (`matrices --p 6` is 79 MB), for str-keyed
-    dicts, lists, tuples, str, int, bool and None.  It dispatches on type,
-    and renders a list of plain ints in one join."""
+    dicts, lists, tuples, str, int, bool and None, with an integer
+    ndarray of one or more axes standing for its `tolist()`.  It
+    dispatches on type, renders a list of plain ints in one join, and
+    an array one innermost row at a time."""
     _render(payload, "\n", fh.write)
     fh.write("\n")
 
@@ -75,12 +79,16 @@ def _render(obj, pad: str, emit) -> None:
         emit(int.__repr__(obj))
     elif obj is None or kind is bool:
         emit(_LITERALS[obj])
-    elif kind is list or kind is tuple:
-        if not obj:
+    elif (kind is list or kind is tuple
+          or kind is np.ndarray and obj.dtype.kind in "iu" and obj.ndim):
+        if not len(obj):
             emit("[]")
             return
         inner = pad + "  "
-        if set(map(type, obj)) == {int}:
+        if kind is np.ndarray and obj.ndim == 1:
+            emit("[" + inner + _join_ints(obj, "," + inner) + pad + "]")
+            return
+        if kind is not np.ndarray and set(map(type, obj)) == {int}:
             emit("[" + inner + ("," + inner).join(map(int.__repr__, obj))
                  + pad + "]")
             return
@@ -103,6 +111,32 @@ def _render(obj, pad: str, emit) -> None:
         emit(pad + "}")
     else:
         raise TypeError(f"{kind.__name__} is not rendered as JSON")
+
+
+def _join_ints(row: np.ndarray, sep: str) -> str:
+    """`sep.join(map(str, row))` for a 1-D integer array of at most 64
+    bits.  Each number is right-aligned in one row of a uint8 matrix,
+    behind `sep`, and filled one decimal place at a time; the NUL
+    padding is then squeezed out, unless no number needed any."""
+    neg = row < 0
+    sign = int(neg.any())
+    mag = row.astype(np.uint64)
+    if sign:
+        np.negative(mag, out=mag, where=neg)  # |x|, exact down to -2**63
+    places = len(str(mag.max(initial=0)))
+    head = np.frombuffer(sep.encode(), np.uint8)
+    cells = np.zeros((len(row), len(head) + sign + places), np.uint8)
+    cells[:, :len(head)] = head
+    if sign:  # any column ahead of the digits: the padding between goes
+        cells[neg, len(head)] = ord("-")
+    cells[:, -1] = mag % 10 + ord("0")
+    for col in range(2, places + 1):
+        mag //= 10
+        cells[:, -col] = np.where(mag > 0, mag % 10 + ord("0"), 0)
+    out = cells.ravel()
+    if sign or places > 1:
+        out = out[out > 0]
+    return out[len(head):].tobytes().decode()
 
 
 def _spectrum_rows(spec: WordSpectrum) -> list[dict]:
@@ -139,10 +173,10 @@ def _matrices_text(payload: dict) -> Iterator[str]:
     yield f"p={payload['p']}\n"
     for label, const, row in zip(payload["K_order"],
                                  payload["constants"], payload["C"]):
-        yield f"k_{label} (+{const}): " + " ".join(map(str, row)) + "\n"
+        yield f"k_{label} (+{const}): " + _join_ints(row, " ") + "\n"
     for label, delta, row in zip(payload["A_order"],
                                  payload["deltas"], payload["B"]):
-        yield f"a_{label} (delta {delta}): " + " ".join(map(str, row)) + "\n"
+        yield f"a_{label} (delta {delta}): " + _join_ints(row, " ") + "\n"
 
 
 def cmd_construct(args) -> int:
@@ -186,10 +220,10 @@ def cmd_matrices(args) -> int:
         "p": args.p,
         "K_order": [wordtype_str(w) for w in sysm.k_order],
         "constants": sysm.constants,
-        "C": sysm.c_matrix(),
+        "C": sysm.C,
         "A_order": [wordtype_str(pi) for pi in sysm.a_order],
         "deltas": sysm.deltas,
-        "B": sysm.b_matrix(),
+        "B": sysm.B,
     }
     _emit(args, payload, _matrices_text)
     return EXIT_OK

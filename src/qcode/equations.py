@@ -8,9 +8,9 @@ route stays independent of the direct inner-product check used in the
 tests.
 
 Cell order is base-4 ascending with the first digit most significant,
-matching the frequency-vector layout, so a row reshapes to the (4,)*p
-digit grid, one axis per column of V, and each move is one array
-operation on that grid.
+matching the frequency-vector layout.  A row is held only as a uint8
+array on the (4,)*p digit grid, one axis per column of V, and each move
+is one array operation on that grid.
 """
 
 from __future__ import annotations
@@ -75,51 +75,63 @@ def parity_classes(p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class KEquation:
+class _GridRow:
+    """A row's cells, held in its `grid` field as a read-only uint8 array
+    on the (4,)*p digit grid, one axis per column of V (given as a flat
+    row or a grid).  `coeffs` is the flat tuple, made on demand.  Rows
+    compare by identity (eq=False: arrays do not compare to one bool);
+    compare their `coeffs`."""
+
+    def _hold_grid(self, p: int) -> None:
+        grid = np.asarray(self.grid, dtype=np.uint8)
+        if grid.size != 4 ** p:
+            raise ValueError("coefficient row does not cover all cells")
+        grid = grid.reshape((4,) * p)
+        grid.flags.writeable = False
+        object.__setattr__(self, "grid", grid)
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return tuple(self.grid.ravel().tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class KEquation(_GridRow):
     """k_w = constant-free coefficient row; the wordtype's own Lee
     length is carried separately as `constant`."""
 
     wordtype: tuple[int, ...]
     constant: int
-    coeffs: tuple[int, ...]
+    grid: np.ndarray
 
     def __post_init__(self):
-        if len(self.coeffs) != 4 ** len(self.wordtype):
-            raise ValueError("coefficient row does not cover all cells")
-
-    @functools.cached_property
-    def _grid(self) -> np.ndarray:
-        """The row on the (4,)*p digit grid, one axis per column of V."""
-        return np.reshape(self.coeffs, (4,) * len(self.wordtype))
+        self._hold_grid(len(self.wordtype))
 
 
-@dataclass(frozen=True)
-class AEquation:
+@dataclass(frozen=True, eq=False)
+class AEquation(_GridRow):
     parity: tuple[int, ...]
     delta: int
-    coeffs: tuple[int, ...]
+    grid: np.ndarray
 
-
-def _row(w: tuple[int, ...], constant: int, grid: np.ndarray) -> KEquation:
-    """The KEquation of a digit grid's (or a flat row's) cells."""
-    return KEquation(w, constant, tuple(grid.ravel().tolist()))
+    def __post_init__(self):
+        self._hold_grid(len(self.parity))
 
 
 @functools.cache
 def _digits(p: int) -> np.ndarray:
-    """(4^p, p): the digits of every cell, in index order."""
-    return cell_digits(np.arange(4 ** p), p)
+    """(4^p, p) uint8: the digits of every cell, in index order."""
+    return cell_digits(np.arange(4 ** p), p).astype(np.uint8)
 
 
 def basis_single_one(p: int, pos: int) -> KEquation:
     w = tuple(1 if j == pos else 0 for j in range(p))
-    return _row(w, 1, np.take(LEE_WEIGHTS, _digits(p)[:, pos]))
+    return KEquation(w, 1, np.take(LEE_WEIGHTS, _digits(p)[:, pos]))
 
 
 def basis_single_two(p: int, pos: int) -> KEquation:
     w = tuple(2 if j == pos else 0 for j in range(p))
-    return _row(w, 2, 2 * (_digits(p)[:, pos] % 2))
+    return KEquation(w, 2, 2 * (_digits(p)[:, pos] % 2))
 
 
 def ca_add(k1: KEquation, k2: KEquation,
@@ -135,14 +147,14 @@ def ca_add(k1: KEquation, k2: KEquation,
     w = wtype
     if w is None:
         w = tuple((a + b) % 4 for a, b in zip(k1.wordtype, k2.wordtype))
-    return _row(w, sum(LEE_WEIGHTS[x] for x in w),
-                np.take(LEE_WEIGHTS, (k1._grid + k2._grid) % 4))
+    return KEquation(w, sum(LEE_WEIGHTS[x] for x in w),
+                     np.take(LEE_WEIGHTS, (k1.grid + k2.grid) % 4))
 
 
 def lift_insert_zero(eq: KEquation, pos: int) -> KEquation:
     """Widen by one column that the word does not touch."""
     w = eq.wordtype[:pos] + (0,) + eq.wordtype[pos:]
-    return _row(w, eq.constant, np.stack([eq._grid] * 4, axis=pos))
+    return KEquation(w, eq.constant, np.stack([eq.grid] * 4, axis=pos))
 
 
 def lift_all_odd(eq: KEquation) -> KEquation:
@@ -156,8 +168,8 @@ def lift_all_odd(eq: KEquation) -> KEquation:
     if eq.wordtype != (1,) * p_old:
         raise ValueError("lift starts from the all-one wordtype")
     w = (1,) + (3,) * p_old
-    return _row(w, 1 + p_old,
-                np.stack([np.roll(eq._grid, s, axis=-1) for s in range(4)]))
+    return KEquation(w, 1 + p_old, np.stack(
+        [np.roll(eq.grid, s, axis=-1) for s in range(4)]))
 
 
 def toggle_entry(eq: KEquation, pos: int) -> KEquation:
@@ -176,7 +188,8 @@ def all_odd_closed_form(p: int) -> KEquation:
     """
     if p < 1:
         raise ValueError("p must be positive")
-    return _row((1,) * p, p, np.take(LEE_WEIGHTS, _digits(p).sum(axis=1) % 4))
+    return KEquation((1,) * p, p,
+                     np.take(LEE_WEIGHTS, _digits(p).sum(axis=1) % 4))
 
 
 def a_equation(w: tuple[int, ...]) -> AEquation:
@@ -185,12 +198,14 @@ def a_equation(w: tuple[int, ...]) -> AEquation:
     if not any(parity):
         raise ValueError("complete word: aliasing index is 1")
     q = sum(parity)
-    coeffs = _digits(len(w)) @ parity % 2
-    return AEquation(parity, 1 - q % 2, tuple(coeffs.tolist()))
+    return AEquation(parity, 1 - q % 2, _digits(len(w)) @ parity % 2)
 
 
 class EquationSystem:
-    """All canonical word-length rows and parity rows for p columns."""
+    """All canonical word-length rows and parity rows for p columns.
+
+    `C` and `B` hold them as read-only (rows, 4^p) uint8 arrays, in
+    `k_order` and `a_order`."""
 
     def __init__(self, p: int):
         if not 1 <= p <= MAX_P:
@@ -202,6 +217,8 @@ class EquationSystem:
         for w in self.k_order:
             self._build(w)
         self._a = {pi: a_equation(pi) for pi in self.a_order}
+        self.C = _stacked(self._memo[w].grid for w in self.k_order)
+        self.B = _stacked(self._a[pi].grid for pi in self.a_order)
 
     def _build(self, w: tuple[int, ...]) -> KEquation:
         got = self._memo.get(w)
@@ -244,7 +261,7 @@ class EquationSystem:
         if is_canonical(w):
             return self._build(w)
         base = self._build(canonicalize(w))
-        return KEquation(w, base.constant, base.coeffs)
+        return KEquation(w, base.constant, base.grid)
 
     def a_equation_for(self, w: tuple[int, ...]) -> AEquation:
         return self._a.get(tuple(x % 2 for x in w)) or a_equation(w)
@@ -258,10 +275,17 @@ class EquationSystem:
         return tuple(self._a[pi].delta for pi in self.a_order)
 
     def c_matrix(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self._build(w).coeffs for w in self.k_order)
+        return tuple(map(tuple, self.C.tolist()))
 
     def b_matrix(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self._a[pi].coeffs for pi in self.a_order)
+        return tuple(map(tuple, self.B.tolist()))
+
+
+def _stacked(grids) -> np.ndarray:
+    """Grids as the rows of one read-only (rows, 4^p) array."""
+    rows = np.stack([g.ravel() for g in grids])
+    rows.flags.writeable = False
+    return rows
 
 
 def build_system(p: int) -> EquationSystem:

@@ -324,6 +324,8 @@ def analyze(g: GeneratorSpec, method: str = "theory",
 
 
 def _compare_spectra(theory: WordSpectrum, brute: WordSpectrum) -> None:
+    if theory.entries == brute.entries:  # both in canonical order
+        return
     t = {(l, r): c for l, r, c in theory.entries}
     b = {(l, r): c for l, r, c in brute.entries}
     for key in sorted(set(t) | set(b), key=lambda k: (k[0], -k[1])):

@@ -7,13 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import qcode
 from conftest import miscount_scan, tamper_design_256x14
-from qcode.cli import _write_json, main
+from qcode.cli import _join_ints, _write_json, main
 from qcode.equations import build_system
 from qcode.golden import wordtype_str
 
@@ -125,6 +127,36 @@ def test_json_writer_matches_json_dumps(value):
     out = io.StringIO()
     _write_json(out, value)
     assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+
+
+def int_arrays(shape):
+    """Integer arrays of every width and sign: values over the whole
+    range, extremes included, mixed with short ones of either sign."""
+    def of(dtype):
+        short = st.integers(max(np.iinfo(dtype).min, -12), 12)
+        return hnp.arrays(dtype, shape,
+                          elements=hnp.from_dtype(dtype) | short)
+    return (hnp.integer_dtypes() | hnp.unsigned_integer_dtypes()).flatmap(of)
+
+
+INT_ARRAY = int_arrays(hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                        max_side=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(INT_ARRAY | st.dictionaries(TEXT, INT_ARRAY, max_size=3))
+def test_json_writer_renders_int_arrays_as_lists(value):
+    out = io.StringIO()
+    _write_json(out, value)
+    plain = (value.tolist() if isinstance(value, np.ndarray)
+             else {key: array.tolist() for key, array in value.items()})
+    assert out.getvalue() == json.dumps(plain, indent=2) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_arrays(st.integers(0, 8)), st.sampled_from([" ", ",\n    "]))
+def test_int_row_text_matches_str_join(row, sep):
+    assert _join_ints(row, sep) == sep.join(map(str, row.tolist()))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])

@@ -14,7 +14,10 @@ clip that keeps lengths 6 and 8, were recorded while the closed form
 still built its full spectrum and then copied the clipped part.  The
 `matrices --p 4` and `--p 5` text ones and the `extend --output` file
 one were recorded while the CLI still rendered JSON through
-`json.dumps(..., indent=2)`, before its own writer replaced it.  Any
+`json.dumps(..., indent=2)`, before its own writer replaced it.  The
+two `matrices --p 6 --output` ones (79 MB of JSON, hashed a chunk at a
+time) were recorded while equation rows were still tuples of Python
+ints, before they became uint8 arrays rendered as bytes.  Any
 refactor that keeps the outputs keeps them.
 To re-record after an intended output change, run
 `python tests/test_cli_corpus.py` and paste what it prints.
@@ -53,6 +56,8 @@ CORPUS = (
 #: invocations whose --output file is hashed, not their stdout
 FILE_CORPUS = (
     ("extend", "--input", "{freq}", "--t", 1, "--output", "{out}"),
+    *(("matrices", "--p", 6, "--format", fmt, "--output", "{out}")
+      for fmt in ("json", "text")),
 )
 
 DIGESTS = {
@@ -113,6 +118,10 @@ DIGESTS = {
 FILE_DIGESTS = {
     "extend --input {freq} --t 1 --output {out}":
         "9c88aaaa2870a7f74e5ce49694b9429ea30e9667e46ad8cc5fc29cc60b611ea5",
+    "matrices --p 6 --format json --output {out}":
+        "c90189e2790a58eecdb1b62e6910c0f34d7cf0bd4f901177e163a8dc675d8d8c",
+    "matrices --p 6 --format text --output {out}":
+        "853f818595a94b5be71451f490beb215a78c303f061b432670ac8f1b072cacb2",
 }
 
 
@@ -135,8 +144,16 @@ def digest(argv, paths: dict) -> tuple[int, str]:
 
 
 def file_digest(argv, paths: dict) -> tuple[int, str]:
+    """Hash the --output file a chunk at a time, then delete it (pytest
+    keeps recent temporary folders, and `matrices --p 6` writes 79 MB)."""
     code, _ = digest(argv, paths)
-    return code, hashlib.sha256(Path(paths["out"]).read_bytes()).hexdigest()
+    out = Path(paths["out"])
+    sha = hashlib.sha256()
+    with out.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            sha.update(chunk)
+    out.unlink()
+    return code, sha.hexdigest()
 
 
 def label(argv) -> str:

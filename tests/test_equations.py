@@ -10,6 +10,7 @@ the frozen data does not reach.
 
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,9 +49,21 @@ def test_parity_class_order_p3():
                                  (1, 1, 1))
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
 def test_rule_chain_matches_closed_form(p):
     sysm = build_system(p)
+    # whole matrices against the inner products, in uint8 (at most 3 * 3 * p)
+    digits = np.array(cells(p), np.uint8)
+    kinds = np.array(sysm.k_order, np.uint8)
+    lee = np.array([lee_weight(x) for x in range(4)], np.uint8)
+    assert np.array_equal(sysm.C, lee[kinds @ digits.T % 4])
+    pis = np.array(sysm.a_order, np.uint8)
+    assert np.array_equal(sysm.B, (digits @ pis.T % 2).T)
+    assert sysm.constants == tuple(sum(map(lee_weight, w))
+                                   for w in sysm.k_order)
+    if p > 4:
+        return
+    # and row by row for every wordtype, w and -w alike
     for w in product(range(4), repeat=p):
         if not any(w):
             continue
