@@ -21,8 +21,8 @@ import numpy as np
 from .equations import MAX_P, canonical_wordtypes, parity_classes
 from .jchar import (BudgetExceeded, DesignSummary, WordSpectrum, _popcount,
                     spectrum_bruteforce, summarize, word_length_limit)
-from .z4 import (LEE_WEIGHTS, FrequencyVector, GeneratorSpec, build_design,
-                 cell_digits, cell_index, frequency_vector,
+from .z4 import (LEE_WEIGHTS, FrequencyVector, GeneratorSpec, _require_ints,
+                 build_design, cell_digits, cell_index, frequency_vector,
                  generator_for_frequency)
 
 #: refuse searches priced above this much work: the column operations
@@ -418,8 +418,23 @@ def _pair_classes(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     perms = np.array(list(itertools.permutations(range(p))))
     signs = np.array(list(itertools.product((1, 3), repeat=p)))
     moved = cell_index(digits[low][:, perms][:, :, None] * signs % 4)
-    return low, neg[low], np.unique(cls[moved.reshape(len(low), -1).T],
-                                    axis=0)
+    return low, neg[low], _distinct_rows(cls[moved.reshape(len(low), -1).T])
+
+
+def _row_order(rows: np.ndarray) -> np.ndarray:
+    """The stable order that sorts a 2-D array's rows lexicographically,
+    first column first (lexsort sorts on its last key first)."""
+    return np.lexsort(rows.T[::-1])
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array in ascending lexicographic order,
+    as `np.unique(rows, axis=0)` gives them; that call would import
+    numpy.ma on first use."""
+    rows = rows[_row_order(rows)]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[first]
 
 
 def search_work(n: int, p: int) -> int:
@@ -468,8 +483,7 @@ def _ranked_orbits(n: int, p: int, criterion: str
     keys = np.concatenate([_dual_keys(reps[lo:lo + step] @ table, n, p,
                                       criterion)
                            for lo in range(0, len(reps), step)])
-    # lexsort is stable and sorts on its last key first
-    order = np.lexsort(keys.reshape(len(keys), -1).T[::-1])
+    order = _row_order(keys.reshape(len(keys), -1))
     return keys[order], reps[order]
 
 
@@ -481,7 +495,7 @@ def _orbit_frequencies(counts: tuple[int, ...] | np.ndarray, p: int,
     j : m - j between its cells (m + 1 ways, one when c = -c); member t of
     an image reads its j per class off t in that mixed radix."""
     low, high, moves = _pair_classes(p)
-    mass = np.unique(np.asarray(counts, dtype=np.int64)[moves], axis=0)
+    mass = _distinct_rows(np.asarray(counts, dtype=np.int64)[moves])
     radix = np.where(low != high, mass + 1, 1)
     sizes = radix.prod(axis=1)
     image = np.repeat(np.arange(len(mass)), sizes)
@@ -491,7 +505,7 @@ def _orbit_frequencies(counts: tuple[int, ...] | np.ndarray, p: int,
     fmat = np.zeros((len(image), 4 ** p), dtype=np.int64)
     fmat[:, low] = mass[image] - j
     fmat[:, high] += j
-    return list(map(tuple, fmat[np.lexsort(fmat.T[::-1])][:limit].tolist()))
+    return list(map(tuple, fmat[_row_order(fmat)][:limit].tolist()))
 
 
 def _best_frequencies(n: int, p: int, criterion: str, top: int
@@ -532,6 +546,7 @@ def search(n: int, p: int, criterion: str = "max_resolution",
     rather than the work done) and refused above `WORK_BUDGET` unless
     forced; search(6, 3) is within it.
     """
+    _require_ints("n, p and top", (n, p, top))
     if criterion not in ("max_resolution", "gma"):
         raise ValueError(f"unknown criterion {criterion!r}")
     if top < 1:

@@ -2,6 +2,7 @@
 periodic families, and the exact search."""
 
 import dataclasses
+import hashlib
 import itertools
 import os
 import subprocess
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import qcode
 from conftest import (MIXED_PARITIES, miscount_scan, random_generator,
@@ -26,10 +28,10 @@ from qcode import (FrequencyVector, GeneratorSpec, PreconditionError,
                    summarize, theory_spectrum)
 from qcode.equations import build_system, canonical_wordtypes, cells
 from qcode.theory import (WORK_BUDGET, _best_frequencies, _cell_sum,
-                          _cell_terms, _dual_keys, _dual_words, _half_excess,
-                          _orbit_frequencies, _orbit_representatives,
-                          _pair_classes, _ranked_orbits, _system_columns,
-                          search_work)
+                          _cell_terms, _distinct_rows, _dual_keys,
+                          _dual_words, _half_excess, _orbit_frequencies,
+                          _orbit_representatives, _pair_classes,
+                          _ranked_orbits, _system_columns, search_work)
 from qcode import theory
 from qcode.z4 import LEE_WEIGHTS, cell_index
 
@@ -158,6 +160,36 @@ def test_import_builds_no_equation_system():
             "built = [o for o in gc.get_objects()\n"
             "         if isinstance(o, qcode.EquationSystem)]\n"
             "assert not built, built\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_no_call_imports_numpy_ma():
+    """Search, analyze, periodic_extend and the CLI load no numpy.ma
+    module: numpy 2 imports it on the first `np.unique` call that asks
+    for no counts, indices or inverse.  The modules are compared before
+    and after the calls, since numpy 1 loads numpy.ma with numpy."""
+    src = str(Path(qcode.__file__).parents[1])
+    code = (
+        "import contextlib, io, sys\n"
+        "from qcode import (GeneratorSpec, analyze, frequency_vector,\n"
+        "                   periodic_extend, search)\n"
+        "from qcode.cli import main\n"
+        "def ma():\n"
+        "    return {k for k in sys.modules\n"
+        "            if k == 'numpy.ma' or k.startswith('numpy.ma.')}\n"
+        "before = ma()\n"
+        "for c in ('max_resolution', 'gma'):\n"
+        "    search(2, 3, c)\n"
+        "search(3, 1, 'gma')\n"
+        "g = GeneratorSpec(3, 3, ((1, 1, 0), (1, 0, 1), (0, 1, 1)))\n"
+        "analyze(g, method='both')\n"
+        "periodic_extend(frequency_vector(g), 2)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['matrices', '--p', '2']) == 0\n"
+        "assert ma() == before, sorted(ma() - before)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src},
                           timeout=120)
@@ -499,6 +531,34 @@ def test_search_rejects_bad_arguments():
         search(0, 3)
     with pytest.raises(ValueError, match="p in 1..3, got p = 0"):
         search(2, 0)
+    with pytest.raises(ValueError, match="must be integers, got 2.5"):
+        search(2, 3, top=2.5)
+    with pytest.raises(ValueError, match="must be integers, got 2.0"):
+        search(2.0, 3)
+    with pytest.raises(ValueError, match="must be integers, got True"):
+        search(2, 3, top=True)
+
+
+def test_search_gate_digest():
+    """Every ranking at n = 1..4, p = 1..3 under both criteria, top 5,
+    pinned by the sha256 of the results' reprs."""
+    text = "".join(repr(search(n, p, c, top=5)) for n in range(1, 5)
+                   for p in range(1, 4) for c in ("max_resolution", "gma"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f5ed50d8f8796d15574b483e957756afd79b54523b68bc57321f0a31dd237872")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([np.int8, np.int64]).flatmap(
+    lambda dtype: hnp.arrays(
+        dtype, st.tuples(st.integers(1, 40), st.integers(1, 6)),
+        elements=st.integers(-2, 2))))
+@example(np.array([[3, -1, 0]], dtype=np.int8))
+@example(np.full((7, 2), 2, dtype=np.int64))
+def test_distinct_rows_match_np_unique(rows):
+    got = _distinct_rows(rows)
+    assert got.dtype == rows.dtype
+    np.testing.assert_array_equal(got, np.unique(rows, axis=0))
 
 
 def _key_from_summary(counts, p, criterion):
