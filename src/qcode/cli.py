@@ -86,7 +86,16 @@ def _render(obj, pad: str, emit) -> None:
             return
         inner = pad + "  "
         if kind is np.ndarray and obj.ndim == 1:
-            emit("[" + inner + _join_ints(obj, "," + inner) + pad + "]")
+            emit("[" + inner + next(_join_rows(obj[None], "," + inner))
+                 + pad + "]")
+            return
+        if kind is np.ndarray and obj.ndim == 2 and obj.shape[1]:
+            deeper = inner + "  "
+            sep = "[" + inner
+            for text in _join_rows(obj, "," + deeper):
+                emit(sep + "[" + deeper + text + inner + "]")
+                sep = "," + inner
+            emit(pad + "]")
             return
         if kind is not np.ndarray and set(map(type, obj)) == {int}:
             emit("[" + inner + ("," + inner).join(map(int.__repr__, obj))
@@ -113,30 +122,36 @@ def _render(obj, pad: str, emit) -> None:
         raise TypeError(f"{kind.__name__} is not rendered as JSON")
 
 
-def _join_ints(row: np.ndarray, sep: str) -> str:
-    """`sep.join(map(str, row))` for a 1-D integer array of at most 64
-    bits.  Each number is right-aligned in one row of a uint8 matrix,
-    behind `sep`, and filled one decimal place at a time; the NUL
-    padding is then squeezed out, unless no number needed any."""
-    neg = row < 0
-    sign = int(neg.any())
-    mag = row.astype(np.uint64)
-    if sign:
-        np.negative(mag, out=mag, where=neg)  # |x|, exact down to -2**63
-    places = len(str(mag.max(initial=0)))
+def _join_rows(a: np.ndarray, sep: str) -> Iterator[str]:
+    """Yield `sep.join(map(str, row))` for each row of a 2-D integer
+    array of at most 64 bits.  One uint8 template serves every row: each
+    number right-aligned behind `sep`, a sign column only if the array's
+    minimum is negative, and as many decimal places as its widest
+    number needs.  A row fills the template one place at a time, from
+    magnitudes in the narrowest unsigned type that holds them; the NUL
+    padding is then squeezed out, unless no number can need any."""
+    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
+    sign = int(lo < 0)
+    widest = max(hi, -lo)
+    places = len(str(widest))
     head = np.frombuffer(sep.encode(), np.uint8)
-    cells = np.zeros((len(row), len(head) + sign + places), np.uint8)
+    cells = np.zeros((a.shape[1], len(head) + sign + places), np.uint8)
     cells[:, :len(head)] = head
-    if sign:  # any column ahead of the digits: the padding between goes
-        cells[neg, len(head)] = ord("-")
-    cells[:, -1] = mag % 10 + ord("0")
-    for col in range(2, places + 1):
-        mag //= 10
-        cells[:, -col] = np.where(mag > 0, mag % 10 + ord("0"), 0)
-    out = cells.ravel()
-    if sign or places > 1:
-        out = out[out > 0]
-    return out[len(head):].tobytes().decode()
+    flat = cells.ravel()
+    mag = np.empty(a.shape[1], np.min_scalar_type(widest))
+    for row in a:
+        mag[:] = row  # wraps a negative x to 2**bits - |x|
+        if sign:
+            neg = row < 0
+            np.negative(mag, out=mag, where=neg)  # |x|, exact down to -2**63
+            cells[:, len(head)] = np.where(neg, ord("-"), 0)
+        np.add(mag % 10 if places > 1 else mag, ord("0"), out=cells[:, -1],
+               casting="unsafe")
+        for col in range(2, places + 1):
+            mag //= 10
+            cells[:, -col] = np.where(mag > 0, mag % 10 + ord("0"), 0)
+        out = flat[flat > 0] if sign or places > 1 else flat
+        yield str(out[len(head):], "ascii")
 
 
 def _spectrum_rows(spec: WordSpectrum) -> list[dict]:
@@ -171,19 +186,19 @@ def _report_text(payload: dict, summary) -> Iterator[str]:
 
 def _matrices_text(payload: dict) -> Iterator[str]:
     yield f"p={payload['p']}\n"
-    for label, const, row in zip(payload["K_order"],
-                                 payload["constants"], payload["C"]):
-        yield f"k_{label} (+{const}): " + _join_ints(row, " ") + "\n"
-    for label, delta, row in zip(payload["A_order"],
-                                 payload["deltas"], payload["B"]):
-        yield f"a_{label} (delta {delta}): " + _join_ints(row, " ") + "\n"
+    for label, const, text in zip(payload["K_order"], payload["constants"],
+                                  _join_rows(payload["C"], " ")):
+        yield f"k_{label} (+{const}): {text}\n"
+    for label, delta, text in zip(payload["A_order"], payload["deltas"],
+                                  _join_rows(payload["B"], " ")):
+        yield f"a_{label} (delta {delta}): {text}\n"
 
 
 def cmd_construct(args) -> int:
     g = load_generator(args.input)
     d = build_design(g)
     with _output(args) as fh:
-        fh.write(design_to_text(d))
+        design_to_text(d, fh.write)
     if args.output:
         print(f"runs={d.runs} factors={d.factors}")
     return EXIT_OK
@@ -197,6 +212,7 @@ def cmd_analyze(args) -> int:
                   "only --method bruteforce applies", file=sys.stderr)
             return EXIT_INPUT
         d = design_from_text(raw)
+        del raw  # not held through the transform: 18 MB at 2^18 runs
         max_len = word_length_limit(d.factors, args.max_length)
         spec = spectrum_bruteforce(d, max_len, force=args.force_budget)
         summary = summarize(spec, d.factors, max_len)
@@ -271,8 +287,8 @@ def _load_frequency(path: str) -> FrequencyVector:
         p += 1
     if 4 ** p != len(counts):
         raise ValueError(
-            f"frequency file {path} has {len(counts)} cells, not a "
-            "power of 4")
+            f"frequency file {path} has {len(counts)} cells; it needs 4^p "
+            "cells for some p >= 1")
     return FrequencyVector(p, tuple(counts))
 
 

@@ -9,6 +9,7 @@ columns of V first and the n identity columns after them.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 from dataclasses import dataclass
@@ -197,28 +198,78 @@ def save_generator(g: GeneratorSpec, path: str) -> None:
         fh.write("\n")
 
 
-def design_to_text(d: BinaryDesign) -> str:
-    lines = [f"runs={d.runs} factors={d.factors}"]
-    for row in d.cells:
-        lines.append(",".join("+1" if v > 0 else "-1" for v in row))
-    return "\n".join(lines) + "\n"
+#: the sign byte of a cell's text, indexed by cell > 0
+_SIGN = np.frombuffer(b"-+", np.uint8)
+
+#: runs per block of design text: about 1 MB of text at 26 factors
+_TEXT_BLOCK = 1 << 14
+
+
+def design_to_text(d: BinaryDesign, write=None) -> str | None:
+    r"""The design text of `d`: a `runs=R factors=K` header line, then one
+    line per run of its cells as comma-separated "+1"/"-1".  It is made a
+    block of runs at a time in one buffer of lines "s1,s1,...,s1\n",
+    whose sign bytes s each block looks up from cell > 0.  With `write`,
+    each block is passed to it as it is made and None is returned;
+    without, the blocks are joined."""
+    if write is None:
+        blocks = []
+        design_to_text(d, blocks.append)
+        return "".join(blocks)
+    write(f"runs={d.runs} factors={d.factors}\n")
+    if not d.factors:
+        write("\n" * len(d.cells))
+        return None
+    lines = np.empty((min(len(d.cells), _TEXT_BLOCK), d.factors, 3), np.uint8)
+    lines[...] = np.frombuffer(b"+1,", np.uint8)
+    lines[:, -1, -1] = ord("\n")
+    for start in range(0, len(d.cells), _TEXT_BLOCK):
+        positive = d.cells[start:start + _TEXT_BLOCK] > 0
+        text = lines[:len(positive)]
+        np.take(_SIGN, positive.view(np.uint8), out=text[..., 0])
+        write(str(text, "ascii"))
+    return None
+
+
+def _read_cells(body: str) -> np.ndarray:
+    r"""The cells of a design body as `int()` reads each one, in one
+    `loadtxt` call where that reads them alike.  loadtxt is given ASCII
+    bytes, which it holds at one byte a character (a `StringIO` holds
+    four).  It takes "\r" for a line end, where int() sees white space,
+    so it is given a space; it takes "\x1c".."\x1f" for white space,
+    where int() sees an error; and it refuses a cell out of int8 range
+    or spelled as only int() spells it ("0_1").  Such a body, and one
+    that is not ASCII, is read cell by cell."""
+    if body.isascii() and not any(c in body for c in "\x1c\x1d\x1e\x1f"):
+        try:
+            return np.loadtxt(io.BytesIO(body.replace("\r", " ").encode()),
+                              delimiter=",", dtype=np.int8, ndmin=2,
+                              comments=None)
+        except ValueError:
+            pass
+    return np.array([[int(v) for v in line.split(",")]
+                     for line in body.split("\n")], dtype=object)
 
 
 def design_from_text(text: str) -> BinaryDesign:
-    lines = text.strip().split("\n")
-    header = lines[0].split()
+    """Parse design text: what `design_to_text` writes, with any cell
+    that `int()` reads, LF or CRLF line ends, and trailing blank lines.
+    An interior blank line, a ragged body or a cell other than +1 or -1
+    is a `ValueError`."""
+    head, _, body = text.strip().partition("\n")
+    header = head.split()
     try:
         runs = int(header[0].split("=")[1])
         factors = int(header[1].split("=")[1])
     except (IndexError, ValueError):
-        raise ValueError(f"bad design header: {lines[0]!r}")
-    # parse wide and narrow to int8 only once every cell is +-1
-    cells = np.array([[int(v) for v in line.split(",")] for line in lines[1:]],
-                     dtype=object)
+        raise ValueError(f"bad design header: {head!r}")
+    if "\n\n" in body or body.startswith("\n"):
+        raise ValueError("design body has a blank line")
+    cells = _read_cells(body) if body else np.empty(0)  # loadtxt warns on ""
     if cells.shape != (runs, factors):
         raise ValueError(f"design body {cells.shape} does not match header "
                          f"({runs}, {factors})")
     if not np.all(np.abs(cells) == 1):
         raise ValueError("design entries must be +1 or -1")
     return BinaryDesign(runs=runs, factors=factors,
-                        cells=cells.astype(np.int8))
+                        cells=cells.astype(np.int8, copy=False))

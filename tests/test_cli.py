@@ -9,13 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import qcode
 from conftest import miscount_scan, tamper_design_256x14
-from qcode.cli import _join_ints, _write_json, main
+from qcode.cli import _join_rows, _write_json, main
 from qcode.equations import build_system
 from qcode.golden import wordtype_str
 
@@ -139,7 +139,7 @@ def int_arrays(shape):
     return (hnp.integer_dtypes() | hnp.unsigned_integer_dtypes()).flatmap(of)
 
 
-INT_ARRAY = int_arrays(hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+INT_ARRAY = int_arrays(hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
                                         max_side=6))
 
 
@@ -154,9 +154,16 @@ def test_json_writer_renders_int_arrays_as_lists(value):
 
 
 @settings(max_examples=300, deadline=None)
-@given(int_arrays(st.integers(0, 8)), st.sampled_from([" ", ",\n    "]))
-def test_int_row_text_matches_str_join(row, sep):
-    assert _join_ints(row, sep) == sep.join(map(str, row.tolist()))
+@given(int_arrays(st.tuples(st.integers(0, 5), st.integers(0, 8))),
+       st.sampled_from([" ", ",\n    "]))
+@example(np.array([[-2**63, 2**63 - 1, 0]]), " ")
+@example(np.array([[2**64 - 1, 0], [1, 10]], np.uint64), " ")
+@example(np.array([[-128, 127], [-1, 0]], np.int8), ",\n    ")
+@example(np.zeros((0, 4), np.int16), " ")
+@example(np.zeros((3, 0), np.uint32), " ")
+def test_int_row_text_matches_str_join(a, sep):
+    assert list(_join_rows(a, sep)) == [sep.join(map(str, row))
+                                        for row in a.tolist()]
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
@@ -299,9 +306,10 @@ def test_exit_2_on_bad_generator(tmp_path, capsys):
 
 def test_exit_2_on_bad_frequency(tmp_path, capsys):
     f = tmp_path / "f.json"
-    f.write_text("[1, 2, 3]")
-    code, _, err = run(capsys, "extend", "--input", f, "--t", 1)
-    assert code == 2 and "power of 4" in err
+    for counts in ("[1, 2, 3]", "[5]", "[]"):  # one cell is 4^0, but p >= 1
+        f.write_text(counts)
+        code, _, err = run(capsys, "extend", "--input", f, "--t", 1)
+        assert code == 2 and "needs 4^p cells for some p >= 1" in err
 
 
 def test_exit_2_on_out_of_range_design_cell(tmp_path, capsys):

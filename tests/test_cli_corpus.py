@@ -17,8 +17,12 @@ one were recorded while the CLI still rendered JSON through
 `json.dumps(..., indent=2)`, before its own writer replaced it.  The
 two `matrices --p 6 --output` ones (79 MB of JSON, hashed a chunk at a
 time) were recorded while equation rows were still tuples of Python
-ints, before they became uint8 arrays rendered as bytes.  Any
-refactor that keeps the outputs keeps them.
+ints, before they became uint8 arrays rendered as bytes.  The three
+`analyze` ones of a design file (`{design}`, the `construct` output
+of design_256x14, and `{design_crlf}`, the same text with CRLF line
+ends) and the `construct --output` file one were recorded while design
+text was still written and read one cell at a time.  Any refactor that
+keeps the outputs keeps them.
 To re-record after an intended output change, run
 `python tests/test_cli_corpus.py` and paste what it prints.
 """
@@ -32,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from qcode import load_examples
+from qcode import GeneratorSpec, build_design, design_to_text, load_examples
 from qcode.cli import main
 
 CORPUS = (
@@ -46,6 +50,9 @@ CORPUS = (
      "--format", "text"),
     ("analyze", "--input", "{gen}", "--method", "both", "--max-length", 8),
     ("construct", "--input", "{gen}"),
+    *(("analyze", "--input", "{design}", "--method", "bruteforce",
+       "--format", fmt) for fmt in ("json", "text")),
+    ("analyze", "--input", "{design_crlf}", "--method", "bruteforce"),
     *(("search", "--n", n, "--p", p, "--criterion", c, "--top", 3)
       for n, p in ((2, 3), (3, 2), (3, 3), (4, 3))
       for c in ("max_resolution", "gma")),
@@ -56,6 +63,7 @@ CORPUS = (
 #: invocations whose --output file is hashed, not their stdout
 FILE_CORPUS = (
     ("extend", "--input", "{freq}", "--t", 1, "--output", "{out}"),
+    ("construct", "--input", "{gen}", "--output", "{out}"),
     *(("matrices", "--p", 6, "--format", fmt, "--output", "{out}")
       for fmt in ("json", "text")),
 )
@@ -93,6 +101,12 @@ DIGESTS = {
         "102276e771ab9191a6d92b9b1729aa3ebd8d57eb0c7e8679738d06b9b744550e",
     "construct --input {gen}":
         "bdaeee7413e878b3afaf7a6fe48a4d46afe65781e161106449269b7718195179",
+    "analyze --input {design} --method bruteforce --format json":
+        "bc5c65e474577baafa99d9892d5eab3e21b90240b34b4f49e1d9e92338fb20aa",
+    "analyze --input {design} --method bruteforce --format text":
+        "7e47b1c3a035fbfd888de68291c837516c58f83c8483c0332eb5125fc709ad21",
+    "analyze --input {design_crlf} --method bruteforce":
+        "bc5c65e474577baafa99d9892d5eab3e21b90240b34b4f49e1d9e92338fb20aa",
     "search --n 2 --p 3 --criterion max_resolution --top 3":
         "3274bf29c9d5382b33bd58e864339fcc7972c4653417ddef43340b859051fd6f",
     "search --n 2 --p 3 --criterion gma --top 3":
@@ -118,6 +132,8 @@ DIGESTS = {
 FILE_DIGESTS = {
     "extend --input {freq} --t 1 --output {out}":
         "9c88aaaa2870a7f74e5ce49694b9429ea30e9667e46ad8cc5fc29cc60b611ea5",
+    "construct --input {gen} --output {out}":
+        "bdaeee7413e878b3afaf7a6fe48a4d46afe65781e161106449269b7718195179",
     "matrices --p 6 --format json --output {out}":
         "c90189e2790a58eecdb1b62e6910c0f34d7cf0bd4f901177e163a8dc675d8d8c",
     "matrices --p 6 --format text --output {out}":
@@ -133,7 +149,13 @@ def write_inputs(folder: Path) -> dict:
     for c in d4["F_one_cells"]:
         counts[c] = 1
     freq.write_text(json.dumps(counts))
-    return {"gen": str(gen), "freq": str(freq), "out": str(folder / "out")}
+    design, crlf = folder / "design.txt", folder / "design_crlf.txt"
+    g = GeneratorSpec(len(d4["V"]), 3, d4["V"])
+    text = design_to_text(build_design(g))
+    design.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    return {"gen": str(gen), "freq": str(freq), "design": str(design),
+            "design_crlf": str(crlf), "out": str(folder / "out")}
 
 
 def digest(argv, paths: dict) -> tuple[int, str]:

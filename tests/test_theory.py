@@ -166,12 +166,16 @@ def test_import_builds_no_equation_system():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_no_call_imports_numpy_ma():
+def test_no_call_imports_numpy_ma(tmp_path):
     """Search, analyze, periodic_extend and the CLI load no numpy.ma
     module: numpy 2 imports it on the first `np.unique` call that asks
-    for no counts, indices or inverse.  The modules are compared before
+    for no counts, indices or inverse.  The CLI calls include `construct`
+    and `analyze --method bruteforce` of the design file it wrote, so
+    the design text reader is covered.  The modules are compared before
     and after the calls, since numpy 1 loads numpy.ma with numpy."""
     src = str(Path(qcode.__file__).parents[1])
+    gen, design = tmp_path / "gen.json", tmp_path / "design.txt"
+    gen.write_text('{"n": 3, "p": 3, "V": [[1, 1, 0], [1, 0, 1], [0, 1, 1]]}')
     code = (
         "import contextlib, io, sys\n"
         "from qcode import (GeneratorSpec, analyze, frequency_vector,\n"
@@ -189,6 +193,10 @@ def test_no_call_imports_numpy_ma():
         "periodic_extend(frequency_vector(g), 2)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['matrices', '--p', '2']) == 0\n"
+        f"    assert main(['construct', '--input', {str(gen)!r},\n"
+        f"                 '--output', {str(design)!r}]) == 0\n"
+        f"    assert main(['analyze', '--input', {str(design)!r},\n"
+        "                 '--method', 'bruteforce']) == 0\n"
         "assert ma() == before, sorted(ma() - before)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src},

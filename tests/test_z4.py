@@ -1,10 +1,15 @@
 """Construction layer: Gray map, codeword enumeration, design assembly."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import qcode.z4 as z4
 from conftest import random_generator
 from qcode import (BudgetExceeded, FrequencyVector, GeneratorSpec,
                    build_design, codewords, design_from_text,
@@ -12,7 +17,7 @@ from qcode import (BudgetExceeded, FrequencyVector, GeneratorSpec,
                    generator_for_frequency, gray_map, lee_weight,
                    load_generator, save_generator)
 from qcode.equations import cells
-from qcode.z4 import cell_digits, cell_index
+from qcode.z4 import BinaryDesign, cell_digits, cell_index
 
 GRAY = {0: (1, 1), 1: (1, -1), 2: (-1, -1), 3: (-1, 1)}
 
@@ -190,6 +195,144 @@ def test_design_text_round_trip(rng):
 def test_design_text_rejects_bad_header():
     with pytest.raises(ValueError):
         design_from_text("rows=4 cols=2\n+1,+1\n")
+
+
+def cell_by_cell_text(d: BinaryDesign) -> str:
+    """Reference writer: the design text joined one cell at a time."""
+    lines = [f"runs={d.runs} factors={d.factors}"]
+    for row in d.cells:
+        lines.append(",".join("+1" if v > 0 else "-1" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def cell_by_cell_parse(text: str) -> tuple[int, int, np.ndarray]:
+    """Reference reader: `int()` on every cell, into an object array."""
+    lines = text.strip().split("\n")
+    header = lines[0].split()
+    try:
+        runs = int(header[0].split("=")[1])
+        factors = int(header[1].split("=")[1])
+    except (IndexError, ValueError):
+        raise ValueError(f"bad design header: {lines[0]!r}")
+    cells = np.array([[int(v) for v in line.split(",")] for line in lines[1:]],
+                     dtype=object)
+    if cells.shape != (runs, factors):
+        raise ValueError("design body does not match header")
+    if not np.all(np.abs(cells) == 1):
+        raise ValueError("design entries must be +1 or -1")
+    return runs, factors, cells.astype(np.int8)
+
+
+PM_ONE = st.tuples(st.integers(1, 40), st.integers(1, 40)).flatmap(
+    lambda shape: hnp.arrays(np.int8, shape,
+                             elements=st.sampled_from([-1, 1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(PM_ONE)
+def test_design_text_matches_cell_by_cell_writer(cells):
+    d = BinaryDesign(*cells.shape, cells)
+    blocks = []
+    assert design_to_text(d, blocks.append) is None
+    assert design_to_text(d) == "".join(blocks) == cell_by_cell_text(d)
+
+
+@pytest.mark.parametrize("runs, factors", [(0, 3), (1, 1), (3, 2), (7, 5),
+                                           (9, 1), (4, 0), (0, 0)])
+def test_design_text_blocks_join_at_run_boundaries(monkeypatch, rng, runs,
+                                                   factors):
+    monkeypatch.setattr(z4, "_TEXT_BLOCK", 3)
+    cells = rng.choice(np.array([-1, 1], np.int8), (runs, factors))
+    d = BinaryDesign(runs, factors, cells)
+    blocks = []
+    design_to_text(d, blocks.append)
+    assert "".join(blocks) == cell_by_cell_text(d)
+    assert len(blocks) == 1 + (-(-runs // 3) if factors else 1)
+
+
+#: cells that int() reads, some as +-1, and cells it refuses
+GOOD_CELLS = ("+1", "-1", "1", " +1 ", "\t-1", "01", "-01", "+0_1", "\x0b1",
+              "1\x0c", "0", "2", "-2", "127", "-128", "128", "-129", "99999",
+              "-99999999999999999999999")
+BAD_CELLS = ("", " ", "#1", "1.0", "1e0", "0x1", "1 1", "+ 1", "--1", "1_",
+             "+1,", "\r", "\x1c-1", "1\x1f")
+#: line ends, and what may follow the last line
+ENDS = ("\n", "\r\n")
+TAILS = ("", "\n", "\r\n", "\n\n", " \n", "\r\n\r\n", "\n \n")
+
+
+@st.composite
+def design_texts(draw):
+    """Near-valid design text: +-1 cells, in their own spelling, in others
+    that int() reads, or among junk; LF or CRLF line ends; and now and
+    then a blank, white-space, ragged or commented line, a lone CR, or a
+    header that is one run off."""
+    runs, factors = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    spellings = draw(st.sampled_from([
+        ("+1", "-1"), ("+1", "-1", " +1 ", "01", "-01", "+0_1", "\t-1"),
+        GOOD_CELLS + BAD_CELLS]))
+    rows = draw(st.lists(st.lists(st.sampled_from(spellings),
+                                  min_size=factors, max_size=factors),
+                         min_size=runs, max_size=runs))
+    lines = [",".join(row) for row in rows]
+    how = draw(st.sampled_from(["none", "blank", "space", "cr", "ragged",
+                                "comment", "drop", "header"]))
+    at = draw(st.integers(0, len(lines)))
+    if how == "blank":
+        lines.insert(at, "")
+    elif how == "space":
+        lines.insert(at, draw(st.sampled_from([" ", "\r", "\t", "\x1c"])))
+    elif lines and how in ("cr", "ragged", "comment", "drop"):
+        line = lines.pop(at - 1)
+        lines[at - 1:at - 1] = {
+            "cr": [draw(st.sampled_from([line.replace(",", "\r,", 1) + "\r",
+                                         line + "\r+1"]))],
+            "ragged": [draw(st.sampled_from([line + ",+1",
+                                             line.rpartition(",")[0]]))],
+            "comment": ["#" + line],
+            "drop": []}[how]
+    elif how == "header":
+        runs += draw(st.sampled_from([-1, 1]))
+    end = draw(st.sampled_from(ENDS))
+    return (f"runs={runs} factors={factors}" + end + end.join(lines)
+            + draw(st.sampled_from(TAILS)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(design_texts())
+@example("runs=2 factors=2\n+1,-1\n\n-1,+1\n")      # interior blank line
+@example("runs=2 factors=1\n+1\n\r\n-1\n")         # a CRLF blank line
+@example("runs=1 factors=2\n#+1,-1\n")              # a comment mark
+@example("runs=2 factors=2\n+1,-1\n-1\n")            # a ragged row
+@example("runs=1 factors=3\n1,99999,-1\n")          # out of range
+@example("runs=1 factors=2\n")                       # an empty body
+@example("runs=0 factors=2\n")                       # runs=0
+@example("runs=0 factors=0\n\n")
+@example("runs=1 factors=2\r\n +1 , 01 \r\n\r\n\n")  # accepted
+@example("runs=1 factors=2\n+0_1,-1\n")             # only int() reads 0_1
+@example("runs=1 factors=2\n+1,\x1c-1\n")           # only loadtxt reads \x1c
+@example("runs=2 factors=1\n+1\r-1\n")               # a lone CR is no line end
+@example("runs=2 factors=1\n\xa0+1\n-1\x85\n")        # white space past ASCII
+def test_design_from_text_matches_cell_by_cell_reader(text):
+    try:
+        want = cell_by_cell_parse(text)
+    except ValueError:
+        want = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            d = design_from_text(text)
+        except ValueError:
+            got = None
+        else:
+            assert d.cells.dtype == np.int8
+            got = d.runs, d.factors, d.cells
+    assert caught == []
+    if want is None or got is None:
+        assert want is got is None, (want, got)
+    else:
+        assert got[:2] == want[:2]
+        assert np.array_equal(got[2], want[2])
 
 
 @pytest.mark.parametrize("n, p, V", [
