@@ -16,7 +16,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .z4 import BinaryDesign, BudgetExceeded
+from .z4 import BinaryDesign, BudgetExceeded, _require_ints
 
 __all__ = ["BudgetExceeded", "SCAN_STEP_BUDGET", "WordSpectrum",
            "DesignSummary", "j_characteristic", "aliasing_index",
@@ -155,6 +155,7 @@ def word_length_limit(factors: int, max_length: int | None) -> int:
     in 3..factors is asked for."""
     if max_length is None:
         return factors
+    _require_ints("max_length", (max_length,))
     if not 3 <= max_length <= factors:
         raise ValueError(f"max_length must be in 3..{factors}")
     return max_length

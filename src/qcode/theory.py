@@ -37,8 +37,8 @@ _STEP_CELLS = 2 ** 18
 
 #: the largest n (the sum of F, V's rows) for which the closed form's
 #: int64 arithmetic is exact at every p up to MAX_P: its widest product
-#: is the packed key L * (2n + 2p + 1) + e of `_dual_spectrum` and
-#: `_dual_keys`, which needs (2n + 2p + 1)^2 < 2^63
+#: is a packed key L * s + e, with s = 2n + 2p + 1 in `_dual_keys` and at
+#: most that in the sorted tally of `_dual_spectrum`: it needs s^2 < 2^63
 _MAX_N = (isqrt(2 ** 63 - 1) - 2 * MAX_P - 1) // 2
 
 
@@ -153,10 +153,11 @@ def theory_spectrum(f: FrequencyVector) -> WordSpectrum:
     8 * 4^e words of aliasing index 2^-e, spread evenly (2 * 4^e each)
     over its 4 canonical wordtypes at length k_w + Lee(w); the 7 fully
     even wordtypes contribute one completely aliased word each.  The
-    spectrum is read off the dual pass, which agrees with that form.
+    spectrum is the runs of one sorted tally of the dual pass, which
+    agrees with that form (`_dual_spectrum`).
     """
-    terms = _require_preconditions(f)
-    return _dual_spectrum(terms, 3, 2 * sum(f.counts) + 6)
+    factors = 2 * f.n + 6
+    return _dual_spectrum(_require_preconditions(f), 3, factors, factors)[0]
 
 
 def _require_preconditions(f: FrequencyVector) -> np.ndarray:
@@ -183,8 +184,13 @@ def class_rhos(f: FrequencyVector) -> tuple[Fraction, ...]:
 
 
 def _class_rhos(ev: TheoryEvaluation) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1, 2 ** e)
-                 for e in aliasing_exponent(_Q3, ev.a_values).tolist())
+    return tuple(map(_dyadic, aliasing_exponent(_Q3, ev.a_values).tolist()))
+
+
+@functools.lru_cache(maxsize=1024)
+def _dyadic(e: int) -> Fraction:
+    """The aliasing index 2^-e, one shared Fraction per exponent."""
+    return Fraction(1, 1 << e)
 
 
 @functools.cache
@@ -251,18 +257,29 @@ def _dual_words(terms: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return lengths, _half_excess(excess)[:, pattern]
 
 
-def _dual_spectrum(terms: np.ndarray, p: int, max_len: int) -> WordSpectrum:
-    """The spectrum of the words 3..max_len long, from one table sum:
-    each nonzero w adds 4^e words of aliasing index 2^-e at length L_w."""
+def _dual_spectrum(terms: np.ndarray, p: int, max_len: int, factors: int
+                   ) -> tuple[WordSpectrum, DesignSummary]:
+    """The spectrum of the words 3..max_len long, and its summary, from one
+    table sum: the runs of the sorted keys L * (max_len + 1) + e are the
+    cells, and each w adds 4^e words of index 2^-e, so 1 to A_{L_w}."""
     lengths, exps = (a[0] for a in _dual_words(terms[None], p))
     keep = (lengths >= 3) & (lengths <= max_len)
-    # e <= L / 2, so L * (max_len + 1) + e is one int per (L, e) cell
-    cells, counts = np.unique(lengths[keep] * (max_len + 1) + exps[keep],
-                              return_counts=True)
-    ls, es = np.divmod(cells, max_len + 1)
-    rhos = {e: Fraction(1, 2 ** e) for e in set(es.tolist())}
-    return WordSpectrum(tuple((l, rhos[e], c << 2 * e) for l, e, c in
-                              zip(ls.tolist(), es.tolist(), counts.tolist())))
+    keys = np.sort(lengths[keep] * (max_len + 1) + exps[keep])
+    # where each run of equal keys starts, then the end
+    bounds = np.ones(len(keys) + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=bounds[1:-1])
+    bounds = np.flatnonzero(bounds)
+    ls, es = np.divmod(keys[bounds[:-1]], max_len + 1)
+    cells = list(zip(ls.tolist(), es.tolist(), np.diff(bounds).tolist()))
+    per_length = _row_counts(lengths[None], factors + 1)[0].tolist()
+    gwlp = [Fraction(0)] * (factors - 2)
+    for l in set(ls.tolist()):
+        gwlp[l - 3] = Fraction(per_length[l])
+    worst = _dyadic(cells[0][1]) if cells else None
+    resolution = cells[0][0] + 1 - worst if cells else None
+    return (WordSpectrum(tuple((l, _dyadic(e), c << 2 * e)
+                               for l, e, c in cells)),
+            DesignSummary(tuple(gwlp), resolution, worst, max_len))
 
 
 @dataclass(frozen=True)
@@ -309,18 +326,21 @@ def analyze(g: GeneratorSpec, method: str = "theory",
     rhos = _class_rhos(ev) if g.p == 3 and ok else ()
 
     theory = (None if method == "bruteforce"
-              else _dual_spectrum(terms, g.p, max_len))
-    spec = theory
+              else _dual_spectrum(terms, g.p, max_len, factors))
+    spec, summary = theory or (None, None)
     if method != "theory":
         spec = spectrum_bruteforce(build_design(g), max_len, force=force)
         if not spec.is_dyadic():
             raise AssertionError(
                 "non-dyadic aliasing index in a quaternary-code design")
+        summary = summarize(spec, factors, max_len)
         if theory is not None:
-            _compare_spectra(theory, spec)
+            _compare_spectra(theory[0], spec)
+            if theory[1] != summary:
+                raise SpectrumMismatch(f"closed form and subset scan "
+                                       f"disagree: {theory[1]} vs {summary}")
     return TheoryReport(4 ** g.n, factors, method, ev.k_values,
-                        ev.a_values, rhos, spec,
-                        summarize(spec, factors, max_len), ok)
+                        ev.a_values, rhos, spec, summary, ok)
 
 
 def _compare_spectra(theory: WordSpectrum, brute: WordSpectrum) -> None:
@@ -362,6 +382,7 @@ def periodic_extend(f0: FrequencyVector, t: int) -> PeriodicFamily:
     the preconditions, w = (2, 0, 0) alone has L_w >= 6), and e the
     least exponent at r.
     """
+    _require_ints("t", (t,))
     if t < 0:
         raise ValueError("t must be nonnegative")
     terms0 = _require_preconditions(f0)
@@ -378,7 +399,7 @@ def periodic_extend(f0: FrequencyVector, t: int) -> PeriodicFamily:
     [key] = _dual_keys(terms0[None], f0.n, 3, "max_resolution").tolist()
     r0, e0 = divmod(-key, 2 * f0.n + 7)
     r = 64 * t + r0
-    rho = Fraction(1, 2 ** (16 * t + e0)) if e0 else Fraction(1)
+    rho = _dyadic(16 * t + e0 if e0 else 0)
     return PeriodicFamily(f0, t, ft, r, rho, r + 1 - rho)
 
 

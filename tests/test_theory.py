@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -26,14 +27,14 @@ from qcode import (FrequencyVector, GeneratorSpec, PreconditionError,
                    parity_class_sums, periodic_extend, precondition_sums,
                    preconditions_met, search, spectrum_bruteforce,
                    summarize, theory_spectrum)
-from qcode.equations import build_system, canonical_wordtypes, cells
+from qcode.equations import MAX_P, build_system, canonical_wordtypes, cells
 from qcode.theory import (WORK_BUDGET, _best_frequencies, _cell_sum,
                           _cell_terms, _distinct_rows, _dual_keys,
                           _dual_words, _half_excess, _orbit_frequencies,
                           _orbit_representatives, _pair_classes,
                           _ranked_orbits, _system_columns, search_work)
 from qcode import theory
-from qcode.z4 import LEE_WEIGHTS, cell_index
+from qcode.z4 import LEE_WEIGHTS, MAX_N, cell_index
 
 HALF = Fraction(1, 2)
 
@@ -270,6 +271,63 @@ def test_analyze_both_raises_on_mismatch(monkeypatch, design256):
         analyze(design256[0], method="both")
 
 
+def test_analyze_both_raises_on_a_summary_mismatch(monkeypatch, design256):
+    """`both` referees the summary read off the dual tally against
+    `summarize` of the scan's spectrum, even when the spectra agree."""
+    real = theory.summarize
+
+    def off_by_one(spectrum, factors, scanned_length=None):
+        summary = real(spectrum, factors, scanned_length)
+        return dataclasses.replace(summary, gwlp=(summary.gwlp[0] + 1,
+                                                  *summary.gwlp[1:]))
+
+    monkeypatch.setattr(theory, "summarize", off_by_one)
+    with pytest.raises(SpectrumMismatch, match="closed form and subset "
+                       "scan disagree: DesignSummary"):
+        analyze(design256[0], method="both")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dual_summary_matches_summarize_past_the_scan(data):
+    """Past MAX_N, where no design is built and no scan can run, the
+    report's summary, read off the dual tally, equals `summarize` of its
+    spectrum at every p, clipped or not."""
+    p = data.draw(st.integers(1, MAX_P), label="p")
+    n = data.draw(st.integers(MAX_N + 1, 300 if p <= 3 else 40), label="n")
+    V = data.draw(hnp.arrays(np.int64, (n, p), elements=st.integers(0, 3)),
+                  label="V")
+    factors = 2 * n + 2 * p
+    max_length = data.draw(st.none() | st.integers(3, factors),
+                           label="max_length")
+    rep = analyze(GeneratorSpec(n, p, tuple(map(tuple, V.tolist()))),
+                  max_length=max_length)
+    max_len = factors if max_length is None else max_length
+    assert rep.summary == summarize(rep.spectrum, rep.factors, max_len)
+
+
+@pytest.mark.parametrize("g, max_length", [
+    (GeneratorSpec(1, 1, ((0,),)), None),
+    (GeneratorSpec(20, 3, ((1, 2, 3),) * 10 + ((3, 3, 1),) * 10), 3)])
+def test_dual_summary_without_words(g, max_length):
+    """No word in the report's range: no resolution and no max rho, as
+    `summarize` gives them."""
+    rep = analyze(g, max_length=max_length)
+    assert rep.spectrum.entries == ()
+    assert rep.summary.resolution is None
+    assert rep.summary.max_rho_at_min_length is None
+    assert rep.summary == summarize(rep.spectrum, rep.factors,
+                                    rep.summary.scanned_length)
+
+
+@pytest.mark.parametrize("method", ["theory", "bruteforce", "both"])
+@pytest.mark.parametrize("max_length", [4.5, True, "4", Fraction(4), 2, 15])
+def test_analyze_refuses_a_bad_max_length(design256, method, max_length):
+    """Only an int in 3..factors, on every route."""
+    with pytest.raises(ValueError, match="^max_length must be"):
+        analyze(design256[0], method=method, max_length=max_length)
+
+
 def test_clipped_reports_agree_on_frozen_design(design256):
     """Each max_length: the closed form's clipped spectrum against the
     subset scan's, and the summaries built from them."""
@@ -408,6 +466,12 @@ def test_periodic_extension_identity(f256):
     assert fam.predicted_r == 6
     assert fam.predicted_rho == HALF
     assert fam.predicted_resolution == Fraction(13, 2)
+
+
+@pytest.mark.parametrize("t", [True, 1.5, "1", None, -1])
+def test_periodic_extension_refuses_a_bad_t(f256, t):
+    with pytest.raises(ValueError, match="^t must be"):
+        periodic_extend(f256, t)
 
 
 def _check_periodic_against_closed_form(f0, t):
@@ -554,6 +618,48 @@ def test_search_gate_digest():
                    for p in range(1, 4) for c in ("max_resolution", "gma"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "f5ed50d8f8796d15574b483e957756afd79b54523b68bc57321f0a31dd237872")
+
+
+def _repr_or_error(fn, *args, **kwargs) -> str:
+    try:
+        return repr(fn(*args, **kwargs))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_theory_report_gate_digest():
+    """The closed-form outputs on a seeded set of generators, pinned by
+    the sha256 of their reprs (an error by its type and message): 500 at
+    p = 3, n in 4..300, 4 in 5 of them with mass on every mixed parity
+    pattern, and 20 at each p in {1, 2, 4, 5, 6}.  Each gives analyze(g,
+    "theory"), unclipped and at a random max_length, theory_spectrum,
+    class_rhos and periodic_extend for t in 0..3."""
+    rng = random.Random(20261020)
+    cases = [(3, rng.randint(4, 300), rng.random() < 0.8) for _ in range(500)]
+    cases += [(p, rng.randint(1, most), False) for p, most in
+              ((1, 300), (2, 300), (4, 60), (5, 30), (6, 12))
+              for _ in range(20)]
+    digest = hashlib.sha256()
+    for p, n, met in cases:
+        rows = [tuple(rng.randrange(4) for _ in range(p)) for _ in range(n)]
+        if met:
+            for i, pi in enumerate(MIXED_PARITIES):
+                rows[i] = tuple(rng.choice((1, 3)) if b else rng.choice((0, 2))
+                                for b in pi)
+            rng.shuffle(rows)
+        g = GeneratorSpec(n, p, tuple(rows))
+        f = frequency_vector(g)
+        outputs = [
+            _repr_or_error(analyze, g, "theory"),
+            _repr_or_error(analyze, g, "theory",
+                           max_length=rng.randint(3, 2 * n + 2 * p)),
+            _repr_or_error(theory_spectrum, f),
+            _repr_or_error(class_rhos, f)]
+        outputs += [_repr_or_error(periodic_extend, f, t) for t in range(4)]
+        for text in outputs:
+            digest.update(text.encode())
+    assert digest.hexdigest() == (
+        "bc004ee8650e2a663e8340466c6d51e601a40ced0279513c54e8ffd3629e208a")
 
 
 @settings(max_examples=200, deadline=None)
