@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .equations import build_system
-from .golden import GoldenDataError, verify_all, wordtype_str
+from .golden import FROZEN_PS, GoldenDataError, verify_all, wordtype_str
 from .jchar import (WordSpectrum, spectrum_bruteforce, summarize,
                     word_length_limit)
 from .theory import (PreconditionError, SpectrumMismatch, TheoryReport,
@@ -61,10 +61,9 @@ _LITERALS = {None: "null", True: "true", False: "false"}
 def _write_json(fh, payload) -> None:
     """Write `json.dumps(payload, indent=2) + "\n"` to `fh`, byte for
     byte, a chunk at a time (`matrices --p 6` is 79 MB), for str-keyed
-    dicts, lists, tuples, str, int, bool and None, with an integer
-    ndarray of one or more axes standing for its `tolist()`.  It
-    dispatches on type, renders a list of plain ints in one join, and
-    an array one innermost row at a time."""
+    dicts, lists, tuples, str, int, bool and None, and integer ndarrays
+    of one or more axes as their `tolist()`: a list of plain ints goes
+    in one join, a 2-D array a row at a time."""
     _render(payload, "\n", fh.write)
     fh.write("\n")
 
@@ -79,25 +78,22 @@ def _render(obj, pad: str, emit) -> None:
         emit(int.__repr__(obj))
     elif obj is None or kind is bool:
         emit(_LITERALS[obj])
-    elif (kind is list or kind is tuple
-          or kind is np.ndarray and obj.dtype.kind in "iu" and obj.ndim):
-        if not len(obj):
+    elif kind is np.ndarray and obj.dtype.kind in "iu" and obj.ndim:
+        if obj.ndim != 2 or not obj.size:
+            _render(obj.tolist(), pad, emit)
+            return
+        inner, deeper = pad + "  ", pad + "    "
+        sep = "[" + inner
+        for text in _join_rows(obj, "," + deeper):
+            emit(sep + "[" + deeper + text + inner + "]")
+            sep = "," + inner
+        emit(pad + "]")
+    elif kind is list or kind is tuple:
+        if not obj:
             emit("[]")
             return
         inner = pad + "  "
-        if kind is np.ndarray and obj.ndim == 1:
-            emit("[" + inner + next(_join_rows(obj[None], "," + inner))
-                 + pad + "]")
-            return
-        if kind is np.ndarray and obj.ndim == 2 and obj.shape[1]:
-            deeper = inner + "  "
-            sep = "[" + inner
-            for text in _join_rows(obj, "," + deeper):
-                emit(sep + "[" + deeper + text + inner + "]")
-                sep = "," + inner
-            emit(pad + "]")
-            return
-        if kind is not np.ndarray and set(map(type, obj)) == {int}:
+        if set(map(type, obj)) == {int}:
             emit("[" + inner + ("," + inner).join(map(int.__repr__, obj))
                  + pad + "]")
             return
@@ -124,39 +120,20 @@ def _render(obj, pad: str, emit) -> None:
 
 def _join_rows(a: np.ndarray, sep: str) -> Iterator[str]:
     """Yield `sep.join(map(str, row))` for each row of a 2-D integer
-    array of at most 64 bits.  One uint8 template serves every row: each
-    number right-aligned behind `sep`, a sign column only if the array's
-    minimum is negative, and as many decimal places as its widest
-    number needs.  A row fills the template one place at a time, from
-    magnitudes in the narrowest unsigned type that holds them; the NUL
-    padding is then squeezed out, unless no number can need any."""
-    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
-    sign = int(lo < 0)
-    widest = max(hi, -lo)
-    places = len(str(widest))
+    array.  A uint8 array of digits 0..9, as C and B are, fills one byte
+    template, `sep` and one digit per cell, a row at a time; any other
+    array is joined from its `tolist()`."""
+    if a.dtype != np.uint8 or a.size and a.max() > 9:
+        for row in a.tolist():
+            yield sep.join(map(str, row))
+        return
     head = np.frombuffer(sep.encode(), np.uint8)
-    cells = np.zeros((a.shape[1], len(head) + sign + places), np.uint8)
-    cells[:, :len(head)] = head
-    flat = cells.ravel()
-    mag = np.empty(a.shape[1], np.min_scalar_type(widest))
+    cells = np.empty((a.shape[1], len(head) + 1), np.uint8)
+    cells[:, :-1] = head
+    text = cells.ravel()[len(head):]
     for row in a:
-        mag[:] = row  # wraps a negative x to 2**bits - |x|
-        if sign:
-            neg = row < 0
-            np.negative(mag, out=mag, where=neg)  # |x|, exact down to -2**63
-            cells[:, len(head)] = np.where(neg, ord("-"), 0)
-        np.add(mag % 10 if places > 1 else mag, ord("0"), out=cells[:, -1],
-               casting="unsafe")
-        for col in range(2, places + 1):
-            mag //= 10
-            cells[:, -col] = np.where(mag > 0, mag % 10 + ord("0"), 0)
-        out = flat[flat > 0] if sign or places > 1 else flat
-        yield str(out[len(head):], "ascii")
-
-
-def _spectrum_rows(spec: WordSpectrum) -> list[dict]:
-    return [{"length": l, "rho": str(r), "count": c}
-            for l, r, c in spec.entries]
+        np.add(row, ord("0"), out=cells[:, -1])
+        yield str(text, "ascii")
 
 
 def _report_payload(runs: int, factors: int, method: str,
@@ -164,7 +141,8 @@ def _report_payload(runs: int, factors: int, method: str,
     return {
         "runs": runs,
         "factors": factors,
-        "spectrum": _spectrum_rows(spec),
+        "spectrum": [{"length": l, "rho": str(r), "count": c}
+                     for l, r, c in spec.entries],
         "gwlp": [str(x) for x in summary.gwlp],
         "resolution": summary.resolution_text(),
         "method": method,
@@ -246,7 +224,7 @@ def cmd_matrices(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ps = (args.p,) if args.p else (1, 2, 3)
+    ps = (args.p,) if args.p else FROZEN_PS
     diffs = verify_all(ps)
     for diff in diffs:
         print(diff)
@@ -326,17 +304,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "exact aliasing analysis, and search.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp):
+    def common(sp, fmt=True, force=False):
         sp.add_argument("--output", help="write the result here instead "
                                          "of stdout")
-        sp.add_argument("--format", choices=("json", "text"),
-                        default="json")
-        sp.add_argument("--force-budget", action="store_true",
-                        help="run past the resource guard")
+        if fmt:
+            sp.add_argument("--format", choices=("json", "text"),
+                            default="json")
+        if force:
+            sp.add_argument("--force-budget", action="store_true",
+                            help="run past the resource guard")
 
     sp = sub.add_parser("construct", help="generator JSON -> design text")
     sp.add_argument("--input", required=True)
-    common(sp)
+    common(sp, fmt=False)
 
     sp = sub.add_parser("analyze", help="aliasing report for a generator "
                                         "or design file")
@@ -344,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=("theory", "bruteforce", "both"),
                     default="theory")
     sp.add_argument("--max-length", type=int, default=None)
-    common(sp)
+    common(sp, force=True)
 
     sp = sub.add_parser("matrices", help="emit the coefficient matrices")
     sp.add_argument("--p", type=int, required=True)
@@ -352,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="diff regenerated matrices and "
                                        "examples against frozen data")
-    sp.add_argument("--p", type=int, choices=(1, 2, 3), default=None)
+    sp.add_argument("--p", type=int, choices=FROZEN_PS, default=None)
 
     sp = sub.add_parser("search", help="rank all frequency vectors for "
                                        "given n, p")
@@ -361,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--criterion", choices=("max_resolution", "gma"),
                     default="max_resolution")
     sp.add_argument("--top", type=int, default=1)
-    common(sp)
+    common(sp, force=True)
 
     sp = sub.add_parser("extend", help="uniform periodic extension of a "
                                        "frequency vector")

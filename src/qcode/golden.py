@@ -19,6 +19,10 @@ from .equations import (all_odd_closed_form, build_system, ca_add,
 from .theory import analyze, evaluate, fixed_point_7, periodic_extend
 from .z4 import GeneratorSpec, cell_digits, frequency_vector
 
+#: the p values with frozen matrices, all checked by `verify_all`
+FROZEN_PS = (1, 2, 3)
+
+
 class GoldenDataError(RuntimeError):
     """Golden data missing or failing its checksum."""
 
@@ -52,8 +56,8 @@ def _load(name: str) -> dict:
 
 
 def load_matrices(p: int) -> dict:
-    if p not in (1, 2, 3):
-        raise ValueError("frozen matrices exist for p in {1, 2, 3}")
+    if p not in FROZEN_PS:
+        raise ValueError(f"frozen matrices exist for p in {set(FROZEN_PS)}")
     return _load(f"matrices_p{p}.json")
 
 
@@ -184,7 +188,7 @@ def verify_examples() -> list[str]:
     return diffs
 
 
-def verify_all(ps: tuple[int, ...] = (1, 2, 3)) -> list[str]:
+def verify_all(ps: tuple[int, ...] = FROZEN_PS) -> list[str]:
     diffs: list[str] = []
     for p in ps:
         diffs.extend(verify_matrices(p))

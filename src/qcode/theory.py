@@ -271,10 +271,9 @@ def _dual_spectrum(terms: np.ndarray, p: int, max_len: int, factors: int
     bounds = np.flatnonzero(bounds)
     ls, es = np.divmod(keys[bounds[:-1]], max_len + 1)
     cells = list(zip(ls.tolist(), es.tolist(), np.diff(bounds).tolist()))
-    per_length = _row_counts(lengths[None], factors + 1)[0].tolist()
     gwlp = [Fraction(0)] * (factors - 2)
-    for l in set(ls.tolist()):
-        gwlp[l - 3] = Fraction(per_length[l])
+    for l, words in itertools.groupby((keys // (max_len + 1)).tolist()):
+        gwlp[l - 3] = Fraction(len(list(words)))  # A_L, one per word
     worst = _dyadic(cells[0][1]) if cells else None
     resolution = cells[0][0] + 1 - worst if cells else None
     return (WordSpectrum(tuple((l, _dyadic(e), c << 2 * e)

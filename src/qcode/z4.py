@@ -104,6 +104,8 @@ class FrequencyVector:
 
     def __post_init__(self):
         _require_ints("p and the counts", (self.p, *self.counts))
+        if self.p < 1:
+            raise ValueError(f"p must be positive, got p={self.p}")
         if len(self.counts) != 4 ** self.p:
             raise ValueError(f"need 4^{self.p} counts, got {len(self.counts)}")
         if min(self.counts) < 0:
@@ -122,7 +124,7 @@ def cell_digits(index, p: int) -> np.ndarray:
     """The base-4 cell codec: the (..., p) digits of cell indexes, most
     significant first, the order of the frequency-vector cells.  Indexes
     are int64, so p is at most 31."""
-    digits = np.asarray(index)[..., None] >> _SHIFTS[-p:]
+    digits = np.asarray(index)[..., None] >> _SHIFTS[len(_SHIFTS) - p:]
     digits &= 3
     return digits
 
@@ -130,7 +132,7 @@ def cell_digits(index, p: int) -> np.ndarray:
 def cell_index(digits) -> np.ndarray:
     """Inverse of `cell_digits`: the cell index of (..., p) digits."""
     digits = np.asarray(digits)
-    return digits @ (1 << _SHIFTS[-digits.shape[-1]:])
+    return digits @ (1 << _SHIFTS[len(_SHIFTS) - digits.shape[-1]:])
 
 
 def codewords(g: GeneratorSpec) -> np.ndarray:

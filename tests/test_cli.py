@@ -1,5 +1,6 @@
 """Command-line surface: formats, round trips, exit codes."""
 
+import argparse
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import qcode
+import qcode.cli as cli
 from conftest import miscount_scan, tamper_design_256x14
 from qcode.cli import _join_rows, _write_json, main
 from qcode.equations import build_system
@@ -161,6 +163,8 @@ def test_json_writer_renders_int_arrays_as_lists(value):
 @example(np.array([[-128, 127], [-1, 0]], np.int8), ",\n    ")
 @example(np.zeros((0, 4), np.int16), " ")
 @example(np.zeros((3, 0), np.uint32), " ")
+@example(np.array([[0, 9, 2], [1, 0, 0]], np.uint8), ",\n    ")
+@example(np.array([[9, 10]], np.uint8), " ")
 def test_int_row_text_matches_str_join(a, sep):
     assert list(_join_rows(a, sep)) == [sep.join(map(str, row))
                                         for row in a.tolist()]
@@ -442,6 +446,59 @@ def test_exit_2_on_non_int_frequency(tmp_path, capsys):
     assert err.count("\n") == 1 and "must be integers" in err
 
 
+class ReadRecorder(argparse.Namespace):
+    """A namespace that notes the name of each attribute read from it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        object.__setattr__(self, "_read", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+#: one valid argv per subcommand (a new one fails until it is added
+#: here), its input files named by placeholder
+SUBCOMMAND_ARGVS = {
+    "construct": ("--input", "{gen}", "--output", "{out}"),
+    "analyze": ("--input", "{gen}"),
+    "matrices": ("--p", "1"),
+    "verify": (),
+    "search": ("--n", "1", "--p", "1"),
+    "extend": ("--input", "{freq}", "--t", "1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(name[4:] for name in vars(cli)
+                                     if name.startswith("cmd_")))
+def test_every_option_is_read(tmp_path, gen_file, examples, capsys, name):
+    freq = tmp_path / "f0.json"
+    counts = [0] * 64
+    for c in examples["design_256x14"]["F_one_cells"]:
+        counts[c] = 1
+    freq.write_text(json.dumps(counts))
+    paths = {"gen": gen_file, "freq": freq, "out": tmp_path / "out"}
+    argv = [name, *(x.format(**paths) for x in SUBCOMMAND_ARGVS[name])]
+    parsed = cli.build_parser().parse_args(argv)
+    args = ReadRecorder(**vars(parsed))
+    assert getattr(cli, f"cmd_{name}")(args) == 0
+    assert set(vars(parsed)) - {"subcommand"} <= args._read
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--input", "gen.json", "--format", "json"),
+    ("construct", "--input", "gen.json", "--force-budget"),
+    ("matrices", "--p", "1", "--force-budget"),
+    ("extend", "--input", "f0.json", "--t", "1", "--force-budget")])
+def test_exit_2_on_a_flag_no_command_reads(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [("--p", 0), ("--p", 4),
                                          ("--n", -1), ("--n", 0)])
 def test_exit_2_on_bad_search_argument(capsys, flag, value):
@@ -477,8 +534,6 @@ def test_exit_1_on_spectrum_mismatch(monkeypatch, gen_file, capsys):
 
 def test_exit_4_on_internal_error(monkeypatch, capsys):
     # a fault in qcode itself is neither a mismatch nor an input error
-    import qcode.cli as cli
-
     def broken(args):
         raise RuntimeError("scorer lost its place")
 

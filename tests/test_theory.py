@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -237,6 +238,26 @@ def test_dual_spectrum_matches_the_scan_without_preconditions(rng):
             rep = analyze(g, method="both")
             assert rep.rhos == () and not rep.preconditions_met
             checked += 1
+
+
+def test_dual_spectrum_memory_is_the_gwlp_alone():
+    """At n = 10^6 (2,000,006 factors) the report holds the GWLP tuple,
+    O(n) by its format, and allocates nothing else of that size: the
+    traced peak stays under 20 bytes per factor."""
+    n = 10 ** 6
+    counts = [0] * 64
+    for c in (20, 17, 5):  # digits 110, 101, 011: the mixed parities
+        counts[c] = 1
+    theory_spectrum(FrequencyVector(3, tuple(counts)))  # fills the caches
+    counts[0] = n - 3
+    f = FrequencyVector(3, tuple(counts))
+    tracemalloc.start()
+    try:
+        theory_spectrum(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * (2 * n + 6)
 
 
 @settings(max_examples=40, deadline=None)

@@ -174,6 +174,14 @@ def test_frequency_vector_validation():
         FrequencyVector(1, (0, 0, 0))
     with pytest.raises(ValueError):
         FrequencyVector(1, (0, -1, 0, 1))
+    with pytest.raises(ValueError, match="p must be positive, got p=0"):
+        FrequencyVector(0, (5,))
+
+
+def test_cell_codec_at_zero_width():
+    """p = 0 digits are none at all, and index cell 0."""
+    assert cell_digits(np.arange(3), 0).shape == (3, 0)
+    assert cell_index(np.zeros((3, 0), np.int64)).tolist() == [0, 0, 0]
 
 
 def test_generator_json_round_trip(tmp_path, rng):
