@@ -87,26 +87,14 @@ class WordSpectrum:
     entries: tuple[tuple[int, Fraction, int], ...]
 
     def __post_init__(self):
-        # checked and sorted on a Fraction's ints: its hash and comparisons
-        # are slow
-        seen = set()
-        for length, rho, count in self.entries:
-            if length < 3:
-                raise ValueError(f"word length {length} below 3")
-            if not 0 < rho.numerator <= rho.denominator:
-                raise ValueError(f"aliasing index {rho} outside (0, 1]")
-            if count < 1:
-                raise ValueError("counts must be positive")
-            cell = (length, rho.numerator, rho.denominator)
-            if cell in seen:
-                raise ValueError(f"duplicate spectrum cell {(length, rho)}")
-            seen.add(cell)
-        # rho = num / den is -(num * (scale // den)) / scale, negated for
-        # largest first
-        scale = lcm(*{den for _, _, den in seen})
-        ordered = tuple(sorted(self.entries, key=lambda e: (
-            e[0], -e[1].numerator * (scale // e[1].denominator))))
-        object.__setattr__(self, "entries", ordered)
+        # sorted only when a cell is out of order: rho = num / den is
+        # -(num * (scale // den)) / scale, negated for largest first
+        if not _checked_in_order(self.entries):
+            scale = lcm(*{rho.denominator for _, rho, _ in self.entries})
+            ordered = tuple(sorted(self.entries, key=lambda e: (
+                e[0], -e[1].numerator * (scale // e[1].denominator))))
+            _checked_in_order(ordered)  # each duplicate beside its twin
+            object.__setattr__(self, "entries", ordered)
 
     def total_words(self) -> int:
         return sum(c for _, _, c in self.entries)
@@ -114,6 +102,29 @@ class WordSpectrum:
     def is_dyadic(self) -> bool:
         return all(r.numerator == 1 and (r.denominator & (r.denominator - 1)) == 0
                    for _, r, _ in self.entries)
+
+
+def _checked_in_order(entries) -> bool:
+    """Check each (length, rho, count) cell on a Fraction's ints (its hash
+    and comparisons are slow), and whether the cells run by length, then
+    largest rho first: each against the one before, rhos compared by
+    cross-multiplication.  A duplicate beside its twin raises."""
+    in_order, last, last_num, last_den = True, 0, 0, 1
+    for length, rho, count in entries:
+        num, den = rho.numerator, rho.denominator
+        if length < 3:
+            raise ValueError(f"word length {length} below 3")
+        if not 0 < num <= den:
+            raise ValueError(f"aliasing index {rho} outside (0, 1]")
+        if count < 1:
+            raise ValueError("counts must be positive")
+        # positive when the cell comes after the one before, 0 on a repeat
+        ahead = length - last or last_num * den - num * last_den
+        if not ahead:
+            raise ValueError(f"duplicate spectrum cell {(length, rho)}")
+        in_order = in_order and ahead > 0
+        last, last_num, last_den = length, num, den
+    return in_order
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 One closed form, the pass over the dual words (`_dual_words`), turns a
 frequency vector straight into the word spectrum without ever
-materializing the design; `analyze`, `periodic_extend` and `search` all
-read it.  Every result here can be cross-checked against the subset
-scan in `jchar`; `analyze(method="both")` does exactly that.
+materializing the design; `analyze` and `search` read it, and
+`periodic_extend` reads its paper's p = 3 form, K and A.  Every result
+here can be cross-checked against the subset scan in `jchar`;
+`analyze(method="both")` does exactly that.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ _STEP_CELLS = 2 ** 18
 #: the largest n (the sum of F, V's rows) for which the closed form's
 #: int64 arithmetic is exact at every p up to MAX_P: its widest product
 #: is a packed key L * s + e, with s = 2n + 2p + 1 in `_dual_keys` and at
-#: most that in the sorted tally of `_dual_spectrum`: it needs s^2 < 2^63
+#: most that in the sorted tally of `_dual_cells`: it needs s^2 < 2^63
 _MAX_N = (isqrt(2 ** 63 - 1) - 2 * MAX_P - 1) // 2
 
 
@@ -154,10 +155,9 @@ def theory_spectrum(f: FrequencyVector) -> WordSpectrum:
     over its 4 canonical wordtypes at length k_w + Lee(w); the 7 fully
     even wordtypes contribute one completely aliased word each.  The
     spectrum is the runs of one sorted tally of the dual pass, which
-    agrees with that form (`_dual_spectrum`).
+    agrees with that form (`_dual_cells`); no GWLP is built.
     """
-    factors = 2 * f.n + 6
-    return _dual_spectrum(_require_preconditions(f), 3, factors, factors)[0]
+    return _spectrum(_dual_cells(_require_preconditions(f), 3, 2 * f.n + 6))
 
 
 def _require_preconditions(f: FrequencyVector) -> np.ndarray:
@@ -193,6 +193,12 @@ def _dyadic(e: int) -> Fraction:
     return Fraction(1, 1 << e)
 
 
+@functools.lru_cache(maxsize=1024)
+def _whole(c: int) -> Fraction:
+    """A GWLP entry A_L = c, one shared Fraction per count."""
+    return Fraction(c)
+
+
 @functools.cache
 def _dual_tables(p: int) -> tuple[np.ndarray, ...]:
     """The per-p constants of the dual pass, a parity pattern being an int
@@ -221,7 +227,8 @@ def _row_counts(values: np.ndarray, width: int) -> np.ndarray:
 def _half_excess(excess: np.ndarray) -> np.ndarray:
     """e = (k - d - r) / 2, the exponent of rho = 2^-e; an odd or a
     negative k - d - r would make rho non-dyadic or above 1."""
-    if ((excess < 0) | (excess & 1 == 1)).any():
+    # one int64 mask: the sign bit and the low bit
+    if (excess & (-2 ** 63 | 1)).any():
         raise AssertionError(
             "non-dyadic aliasing index in a quaternary-code design")
     return excess >> 1
@@ -257,11 +264,12 @@ def _dual_words(terms: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return lengths, _half_excess(excess)[:, pattern]
 
 
-def _dual_spectrum(terms: np.ndarray, p: int, max_len: int, factors: int
-                   ) -> tuple[WordSpectrum, DesignSummary]:
-    """The spectrum of the words 3..max_len long, and its summary, from one
-    table sum: the runs of the sorted keys L * (max_len + 1) + e are the
-    cells, and each w adds 4^e words of index 2^-e, so 1 to A_{L_w}."""
+def _dual_cells(terms: np.ndarray, p: int, max_len: int
+                ) -> list[tuple[int, int, int]]:
+    """(L, e, words) per cell of the words 3..max_len long, from one table
+    sum: the runs of the sorted keys L * (max_len + 1) + e are the cells,
+    in canonical order (L ascending, then rho largest first), and a run
+    holds one dual word w per member."""
     lengths, exps = (a[0] for a in _dual_words(terms[None], p))
     keep = (lengths >= 3) & (lengths <= max_len)
     keys = np.sort(lengths[keep] * (max_len + 1) + exps[keep])
@@ -270,14 +278,30 @@ def _dual_spectrum(terms: np.ndarray, p: int, max_len: int, factors: int
     np.not_equal(keys[1:], keys[:-1], out=bounds[1:-1])
     bounds = np.flatnonzero(bounds)
     ls, es = np.divmod(keys[bounds[:-1]], max_len + 1)
-    cells = list(zip(ls.tolist(), es.tolist(), np.diff(bounds).tolist()))
+    return list(zip(ls.tolist(), es.tolist(), np.diff(bounds).tolist()))
+
+
+def _spectrum(cells: list[tuple[int, int, int]]) -> WordSpectrum:
+    """Each dual word w of a cell adds 4^e words of index 2^-e."""
+    return WordSpectrum(tuple((l, _dyadic(e), c << 2 * e)
+                              for l, e, c in cells))
+
+
+def _dual_spectrum(terms: np.ndarray, p: int, max_len: int, factors: int
+                   ) -> tuple[WordSpectrum, DesignSummary]:
+    """The spectrum of the words 3..max_len long, and its summary, from one
+    table sum (`_dual_cells`): each w adds 1 to A_{L_w}, so A_L is the
+    sum of the run counts at L."""
+    cells = _dual_cells(terms, p, max_len)
+    words = {}
+    for l, _, c in cells:
+        words[l] = words.get(l, 0) + c
     gwlp = [Fraction(0)] * (factors - 2)
-    for l, words in itertools.groupby((keys // (max_len + 1)).tolist()):
-        gwlp[l - 3] = Fraction(len(list(words)))  # A_L, one per word
+    for l, c in words.items():
+        gwlp[l - 3] = _whole(c)
     worst = _dyadic(cells[0][1]) if cells else None
     resolution = cells[0][0] + 1 - worst if cells else None
-    return (WordSpectrum(tuple((l, _dyadic(e), c << 2 * e)
-                               for l, e, c in cells)),
+    return (_spectrum(cells),
             DesignSummary(tuple(gwlp), resolution, worst, max_len))
 
 
@@ -377,29 +401,48 @@ def periodic_extend(f0: FrequencyVector, t: int) -> PeriodicFamily:
     picks up a factor 2^-16t (complete words stay completely aliased).
     Both shift identities are re-checked here on the actual vectors.
     The base's shortest length r and aliasing index rho = 2^-e are read
-    off the dual pass: r is the least word length of 3 or more (under
-    the preconditions, w = (2, 0, 0) alone has L_w >= 6), and e the
-    least exponent at r.
+    off its K and A values, with no dual pass: under the preconditions
+    the paper's closed form gives each canonical wordtype w the length
+    L_w = Lee(w) + K_w and the exponent aliasing_exponent(q, A) of its
+    parity class (0 for a fully even w, whose L_w is at least 6), as the
+    dual pass does.  r is the least L_w of 3 or more, and e the least
+    exponent at r.
     """
     _require_ints("t", (t,))
     if t < 0:
         raise ValueError("t must be nonnegative")
     terms0 = _require_preconditions(f0)
-    ev0 = _evaluation(terms0, 3)
     ft = FrequencyVector(f0.p, (f0.counts[0],)
                          + tuple(c + t for c in f0.counts[1:]))
-    evt = evaluate(ft)
-    if any(b - a != 64 * t for a, b in zip(ev0.k_values, evt.k_values)):
+    kinds, dot = _system_columns(3)
+    shift = _cell_sum(ft) - terms0
+    if (shift[kinds] != 64 * t).any():
         raise AssertionError("word-count shift identity violated")
-    if any(b - a != 32 * t for a, b in zip(ev0.a_values, evt.a_values)):
+    if (shift[63:] @ dot != 32 * t).any():
         raise AssertionError("parity-sum shift identity violated")
-    # the base's key is -(r0 * span + e0), span = 2n + 7 at p = 3: its
-    # least length r0 and the exponent e0 there
-    [key] = _dual_keys(terms0[None], f0.n, 3, "max_resolution").tolist()
-    r0, e0 = divmod(-key, 2 * f0.n + 7)
+    # the base's L_w = Lee(w) + K_w and e_w per canonical wordtype w: its
+    # least length r0 of 3 or more, and the least exponent e0 there
+    lee, cls = _wordtype_classes()
+    lengths = lee + terms0[kinds]
+    exps = np.append(aliasing_exponent(_Q3, terms0[63:] @ dot), 0)[cls]
+    r0 = int(lengths[lengths >= 3].min())
+    e0 = int(exps[lengths == r0].min())
     r = 64 * t + r0
     rho = _dyadic(16 * t + e0 if e0 else 0)
     return PeriodicFamily(f0, t, ft, r, rho, r + 1 - rho)
+
+
+@functools.cache
+def _wordtype_classes() -> tuple[np.ndarray, np.ndarray]:
+    """Lee(w) of each p = 3 canonical wordtype w, in K order, and where
+    its exponent sits in the A_order row of class exponents with a 0
+    appended: its parity class, or that 0 for a fully even w."""
+    kinds = _system_columns(3)[0]
+    lee, pattern = _dual_tables(3)[:2]
+    rank = np.full(8, len(_Q3))
+    rank[np.array(parity_classes(3)) @ (1 << np.arange(3))] = np.arange(
+        len(_Q3))
+    return lee[kinds], rank[pattern[kinds]]
 
 
 def fixed_point_7(x: Fraction) -> str:

@@ -375,6 +375,41 @@ def test_summarize_and_order_match_fraction_reference(cells, shuffle):
         assert summary.resolution is None
 
 
+def _canonical(entries) -> tuple:
+    """The reference order: length ascending, then rho largest first."""
+    return tuple(sorted(entries, key=lambda e: (e[0], -e[1])))
+
+
+#: cells that break a check, each made from a valid (length, rho, count),
+#: and the message each raises
+_BAD_CELLS = (
+    ("duplicate spectrum cell", lambda l, rho, c: (l, rho, c + 1)),
+    ("below 3", lambda l, rho, c: (l % 3, rho, c)),
+    (r"outside \(0, 1\]", lambda l, rho, c: (l, Fraction(0), c)),
+    (r"outside \(0, 1\]", lambda l, rho, c: (l, 1 + rho, c)),
+    ("must be positive", lambda l, rho, c: (l, rho, 0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(3, 40), _RHOS),
+                       st.integers(1, 9), min_size=1, max_size=16),
+       st.randoms(), st.sampled_from(_BAD_CELLS))
+def test_word_spectrum_checks_cells_in_one_ordered_pass(cells, shuffle, bad):
+    """Canonical input is kept as it is, any other order is sorted, and a
+    bad cell raises wherever it sits."""
+    entries = [(length, rho, count) for (length, rho), count in cells.items()]
+    ordered = _canonical(entries)
+    assert WordSpectrum(ordered).entries is ordered
+    shuffle.shuffle(entries)
+    assert WordSpectrum(tuple(entries)).entries == ordered
+    message, make = bad
+    broken = entries + [make(*shuffle.choice(entries))]
+    shuffle.shuffle(broken)
+    for spelled in (_canonical(broken), tuple(broken)):
+        with pytest.raises(ValueError, match=message):
+            WordSpectrum(spelled)
+
+
 def test_scan_budget_refusal():
     wide = BinaryDesign(16, 34, np.ones((16, 34), dtype=np.int8))
     assert scan_cost(34, 16, 34) > 10 ** 10

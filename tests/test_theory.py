@@ -240,24 +240,58 @@ def test_dual_spectrum_matches_the_scan_without_preconditions(rng):
             checked += 1
 
 
+def _sparse_f(n: int) -> FrequencyVector:
+    """A p = 3 F summing to n that meets the preconditions: one row on
+    each mixed parity pattern, the rest on the zero cell."""
+    counts = [0] * 64
+    for c in (20, 17, 5):  # digits 110, 101, 011: the mixed parities
+        counts[c] = 1
+    counts[0] = n - 3
+    return FrequencyVector(3, tuple(counts))
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_dual_spectrum_memory_is_the_gwlp_alone():
     """At n = 10^6 (2,000,006 factors) the report holds the GWLP tuple,
     O(n) by its format, and allocates nothing else of that size: the
     traced peak stays under 20 bytes per factor."""
     n = 10 ** 6
-    counts = [0] * 64
-    for c in (20, 17, 5):  # digits 110, 101, 011: the mixed parities
-        counts[c] = 1
-    theory_spectrum(FrequencyVector(3, tuple(counts)))  # fills the caches
-    counts[0] = n - 3
-    f = FrequencyVector(3, tuple(counts))
-    tracemalloc.start()
-    try:
-        theory_spectrum(f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20 * (2 * n + 6)
+    factors = 2 * n + 6
+    theory_spectrum(_sparse_f(3))  # fills the caches
+    f = _sparse_f(n)
+    peak = _traced_peak(lambda: theory._dual_spectrum(
+        _cell_sum(f), 3, factors, factors))
+    assert peak < 20 * factors
+
+
+def test_theory_spectrum_builds_no_gwlp():
+    """`theory_spectrum` takes only the spectrum cells from the dual tally:
+    at n = 10^6 its traced peak is the dual pass's small arrays, under
+    1 MiB, where a GWLP of 2n + 4 entries would be tens of MB."""
+    theory_spectrum(_sparse_f(3))  # fills the caches
+    f = _sparse_f(10 ** 6)
+    assert _traced_peak(lambda: theory_spectrum(f)) < 1 << 20
+
+
+def _draw_precondition_f(data, lo: int, hi: int) -> FrequencyVector:
+    """A p = 3 F summing to n in lo..hi with a row on each mixed parity
+    pattern, the rest anywhere."""
+    n = data.draw(st.integers(lo, hi), label="n")
+    rows = [data.draw(st.sampled_from(cs), label="mixed cell")
+            for cs in _MIXED_CELLS]
+    rows += data.draw(st.lists(st.integers(0, 63), min_size=n - 3,
+                               max_size=n - 3), label="more cells")
+    f = FrequencyVector(3, tuple(np.bincount(rows, minlength=64).tolist()))
+    assert preconditions_met(f)
+    return f
 
 
 @settings(max_examples=40, deadline=None)
@@ -267,13 +301,7 @@ def test_dual_pass_holds_the_paper_theorem(data):
     closed form: at each canonical wordtype w, L_w is Lee(w) + K_w (the
     system's constant plus K), and e is aliasing_exponent(q, A) for w's
     parity class (0 when w is fully even)."""
-    n = data.draw(st.integers(3, 12), label="n")
-    rows = [data.draw(st.sampled_from(cs), label="mixed cell")
-            for cs in _MIXED_CELLS]
-    rows += data.draw(st.lists(st.integers(0, 63), min_size=n - 3,
-                               max_size=n - 3), label="more cells")
-    f = FrequencyVector(3, tuple(np.bincount(rows, minlength=64).tolist()))
-    assert preconditions_met(f)
+    f = _draw_precondition_f(data, 3, 12)
     ev, sysm = evaluate(f), build_system(3)
     lengths, e = _dual_words(_cell_sum(f)[None], 3)
     for w, const, k in zip(sysm.k_order, sysm.constants, ev.k_values):
@@ -493,6 +521,61 @@ def test_periodic_extension_identity(f256):
 def test_periodic_extension_refuses_a_bad_t(f256, t):
     with pytest.raises(ValueError, match="^t must be"):
         periodic_extend(f256, t)
+
+
+def test_periodic_extension_makes_no_dual_pass(monkeypatch, f256, examples):
+    """r and rho are read off the base's K and A values alone."""
+    def no_dual_pass(terms, p):
+        raise AssertionError("periodic_extend ran the dual pass")
+
+    monkeypatch.setattr(theory, "_dual_words", no_dual_pass)
+    ex = examples["periodic_extension"]
+    fam = periodic_extend(f256, 1)
+    assert list(fam.extended.counts) == ex["Ft"]
+    assert (fam.predicted_r, str(fam.predicted_rho)) == (ex["r"], ex["rho"])
+    assert fixed_point_7(fam.predicted_resolution) \
+        == ex["rendered_resolution"]
+
+
+def _dual_key_prediction(f0, t):
+    """(r, rho) of the t-step extension the old way: the base's r0 and e0
+    off the dual pass's max_resolution key, -(r0 * (2n + 7) + e0)."""
+    [key] = _dual_keys(_cell_sum(f0)[None], f0.n, 3,
+                       "max_resolution").tolist()
+    r0, e0 = divmod(-key, 2 * f0.n + 7)
+    return 64 * t + r0, Fraction(1, 2 ** (16 * t + e0)) if e0 else 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_periodic_extension_reads_r_and_rho_as_the_dual_pass(data):
+    """The base's r and rho read off K and A equal those of the dual
+    pass, for n up to 300 and t up to 3."""
+    f0 = _draw_precondition_f(data, 3, 300)
+    t = data.draw(st.integers(0, 3), label="t")
+    fam = periodic_extend(f0, t)
+    assert (fam.predicted_r, fam.predicted_rho) == _dual_key_prediction(f0, t)
+    assert type(fam.predicted_r) is int
+
+
+@pytest.mark.parametrize("columns, message", [
+    (slice(None), "word-count shift identity violated"),
+    (slice(63, None), "parity-sum shift identity violated")])
+def test_periodic_extension_checks_both_shifts(monkeypatch, f256, columns,
+                                               message):
+    """A table sum of ft that is off by one, in every column or in the
+    parity-mass columns alone, breaks a shift identity."""
+    real = theory._cell_sum
+
+    def off_by_one(f):
+        terms = real(f)
+        if f != f256:
+            terms[columns] += 1
+        return terms
+
+    monkeypatch.setattr(theory, "_cell_sum", off_by_one)
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        periodic_extend(f256, 1)
 
 
 def _check_periodic_against_closed_form(f0, t):
@@ -787,8 +870,10 @@ def test_keys_reject_a_non_dyadic_index():
     """An odd k - d - r would make rho an odd power of 2^-1/2, and a
     negative one rho > 1; the check is a raise, so it holds under
     `python -O` too."""
-    assert _half_excess(np.array([[0, 2, 6]])).tolist() == [[0, 1, 3]]
-    for bad in ([[0, 3, 0]], [[2, -2, 0]]):
+    assert _half_excess(np.array([[0, 2, 6, 2 ** 62]])).tolist() \
+        == [[0, 1, 3, 2 ** 61]]
+    for bad in ([[0, 3, 0]], [[2, -2, 0]], [[-1]], [[-2]], [[2 ** 61 + 1]],
+                [[-2 ** 62]]):
         with pytest.raises(AssertionError, match="non-dyadic"):
             _half_excess(np.array(bad))
 
