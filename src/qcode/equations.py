@@ -29,6 +29,12 @@ RANK = (0, 1, 3, 2)
 MAX_P = 6
 
 
+def _require_p(p: int) -> None:
+    """Refuse a p outside the equation systems' range 1..MAX_P."""
+    if not 1 <= p <= MAX_P:
+        raise ValueError(f"p must be in 1..{MAX_P}, got {p}")
+
+
 def cells(p: int) -> list[tuple[int, ...]]:
     """All 4^p cell patterns in index order."""
     return list(itertools.product(range(4), repeat=p))
@@ -60,8 +66,7 @@ def canonical_wordtypes(p: int) -> tuple[tuple[int, ...], ...]:
     One representative per {w, -w} pair.  There are
     2^p - 1 + 2^(2p-1) - 2^(p-1) of them: 2, 9, 35, 135 for p = 1..4.
     """
-    if not 1 <= p <= MAX_P:
-        raise ValueError(f"p must be in 1..{MAX_P}, got {p}")
+    _require_p(p)
     kinds = [w for w in cells(p) if any(w) and is_canonical(w)]
     kinds.sort(key=wordtype_sort_key)
     return tuple(kinds)
@@ -208,8 +213,7 @@ class EquationSystem:
     `k_order` and `a_order`."""
 
     def __init__(self, p: int):
-        if not 1 <= p <= MAX_P:
-            raise ValueError(f"p must be in 1..{MAX_P}, got {p}")
+        _require_p(p)
         self.p = p
         self.k_order = canonical_wordtypes(p)
         self.a_order = parity_classes(p)

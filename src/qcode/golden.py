@@ -107,6 +107,12 @@ def verify_matrices(p: int) -> list[str]:
     return diffs
 
 
+def _expect(diffs: list[str], label: str, got, want) -> None:
+    """Report a frozen value that the package no longer reproduces."""
+    if got != want:
+        diffs.append(f"{label} expected {want}, got {got}")
+
+
 def verify_examples() -> list[str]:
     """Re-run every frozen example end to end; return the diffs."""
     ex = load_examples()
@@ -116,34 +122,25 @@ def verify_examples() -> list[str]:
     fx = ex["oplus_p2"]
     k10 = sys2.k_equation((1, 0))
     k02 = sys2.k_equation((0, 2))
-    if list(k10.coeffs) != fx["k_10"]:
-        diffs.append("oplus_p2: k_10 row disagrees")
-    if list(k02.coeffs) != fx["k_02"]:
-        diffs.append("oplus_p2: k_02 row disagrees")
-    if list(ca_add(k10, k02).coeffs) != fx["sum"]:
-        diffs.append("oplus_p2: cellwise sum disagrees")
+    for key, got in (("k_10", k10), ("k_02", k02), ("sum", ca_add(k10, k02))):
+        _diff_cells(diffs, f"oplus_p2: {key}", got.coeffs, fx[key])
 
     part = ex["all_odd_p2_partition"]
     eq = all_odd_closed_form(2)
     labels = [wordtype_str(d) for d in cell_digits(range(16), 2).tolist()]
     for value, key in ((0, "zero_cells"), (1, "one_cells"), (2, "two_cells")):
-        got = {labels[i] for i, c in enumerate(eq.coeffs) if c == value}
-        if got != set(part[key]):
-            diffs.append(f"all_odd_p2_partition: {key} expected "
-                         f"{sorted(part[key])}, got {sorted(got)}")
+        got = [labels[i] for i, c in enumerate(eq.coeffs) if c == value]
+        _expect(diffs, f"all_odd_p2_partition: {key}", sorted(got),
+                sorted(part[key]))
 
     d4 = ex["design_256x14"]
     g = GeneratorSpec(4, 3, tuple(tuple(r) for r in d4["V"]))
     f = frequency_vector(g)
-    ones = [i for i, c in enumerate(f.counts) if c]
-    if ones != d4["F_one_cells"]:
-        diffs.append(f"design_256x14: F cells expected {d4['F_one_cells']}, "
-                     f"got {ones}")
+    _diff_cells(diffs, "design_256x14: F_one_cells",
+                [i for i, c in enumerate(f.counts) if c], d4["F_one_cells"])
     sys3 = build_system(3)
     ev = evaluate(f)
-    if list(ev.a_values) != d4["A"]:
-        diffs.append(f"design_256x14: A expected {d4['A']}, "
-                     f"got {list(ev.a_values)}")
+    _diff_cells(diffs, "design_256x14: A", ev.a_values, d4["A"])
     labels3 = [wordtype_str(w) for w in sys3.k_order]
     got_len = [k + c for k, c in zip(ev.k_values, sys3.constants)]
     for what, got, want in (("K", ev.k_values, d4["K"]),
@@ -151,40 +148,27 @@ def verify_examples() -> list[str]:
         _diff_cells(diffs, f"design_256x14: {what}", got, want,
                     lambda i: f"cell {i} ({labels3[i]})")
     rep = analyze(g, method="both")  # closed form vs subset scan
-    got_spec = [[l, str(r), c] for l, r, c in rep.spectrum.entries]
-    want_spec = [[l, r, c] for l, r, c in d4["spectrum"]]
-    if got_spec != want_spec:
-        diffs.append(f"design_256x14: spectrum expected {want_spec}, "
-                     f"got {got_spec}")
-    got_gwlp = [str(x) for x in rep.summary.gwlp]
-    want_gwlp = [str(Fraction(v)) for v in d4["gwlp_from_1"][2:]]
-    if got_gwlp != want_gwlp:
-        diffs.append(f"design_256x14: gwlp expected {want_gwlp}, "
-                     f"got {got_gwlp}")
-    if str(rep.summary.resolution) != d4["resolution"]:
-        diffs.append(f"design_256x14: resolution expected "
-                     f"{d4['resolution']}, got {rep.summary.resolution}")
+    _diff_cells(diffs, "design_256x14: spectrum",
+                [[l, str(r), c] for l, r, c in rep.spectrum.entries],
+                d4["spectrum"])
+    _diff_cells(diffs, "design_256x14: gwlp_from_1",
+                [str(x) for x in rep.summary.gwlp],
+                [str(Fraction(v)) for v in d4["gwlp_from_1"][2:]],
+                lambda i: f"A_{i + 3}")
+    _expect(diffs, "design_256x14: resolution", str(rep.summary.resolution),
+            d4["resolution"])
 
     pe = ex["periodic_extension"]
     fam = periodic_extend(f, pe["t"])
-    if list(fam.extended.counts) != pe["Ft"]:
-        diffs.append("periodic_extension: extended vector disagrees")
-    if fam.predicted_r != pe["r"]:
-        diffs.append(f"periodic_extension: r expected {pe['r']}, "
-                     f"got {fam.predicted_r}")
-    if str(fam.predicted_rho) != pe["rho"]:
-        diffs.append(f"periodic_extension: rho expected {pe['rho']}, "
-                     f"got {fam.predicted_rho}")
-    if fixed_point_7(fam.predicted_resolution) != pe["rendered_resolution"]:
-        diffs.append("periodic_extension: rendered resolution expected "
-                     f"{pe['rendered_resolution']}, got "
-                     f"{fixed_point_7(fam.predicted_resolution)}")
+    _diff_cells(diffs, "periodic_extension: Ft", fam.extended.counts, pe["Ft"])
+    for key, got in (("r", fam.predicted_r), ("rho", str(fam.predicted_rho)),
+                     ("rendered_resolution",
+                      fixed_point_7(fam.predicted_resolution))):
+        _expect(diffs, f"periodic_extension: {key}", got, pe[key])
 
     for key, want in ex["wordtype_counts"].items():
-        got = len(canonical_wordtypes(int(key)))
-        if got != want:
-            diffs.append(f"wordtype_counts: p={key} expected {want}, "
-                         f"got {got}")
+        _expect(diffs, f"wordtype_counts: p={key}",
+                len(canonical_wordtypes(int(key))), want)
     return diffs
 
 

@@ -301,47 +301,44 @@ def _subset_j(d: BinaryDesign) -> np.ndarray:
     return _wht_in_place(counts)
 
 
-def _subset_sizes(factors: int) -> np.ndarray:
-    """uint8 size of every column subset S < 2^factors, as the outer sum
-    of the popcounts of S's high and low halves, so no 2^factors index
-    array is made."""
-    low = factors // 2
-    pc = _popcount(np.arange(1 << (factors - low), dtype=np.uint32))
-    return np.add.outer(pc, pc[:1 << low], dtype=np.uint8).ravel()
-
-
-def _cell_keys(sizes: np.ndarray, j: np.ndarray, width: int) -> np.ndarray:
-    """int64 key size * width + |j| of each (size, |j|) cell.  The sizes
-    are widened before the product: a uint8 times a small int stays
-    uint8 under numpy's casting rules, and would wrap.  One int64 array,
-    updated in place."""
+def _cell_keys(sizes: np.ndarray, j: np.ndarray, runs: int) -> np.ndarray:
+    """int64 key size * (runs + 1) + runs - |j| of each (size, j) cell,
+    j nonzero: ascending keys run in canonical order, by size, then
+    largest |j| (rho) first.  The sizes are widened before the product:
+    a uint8 times a small int stays uint8 under numpy's casting rules,
+    and would wrap.  One int64 array, updated in place."""
     keys = sizes.astype(np.int64)
-    keys *= width
-    keys += np.abs(j)
+    keys *= runs + 1
+    keys += runs
+    keys -= np.abs(j)
     return keys
+
+
+def _scan_spectrum(tally: dict[int, int], runs: int) -> WordSpectrum:
+    """The spectrum of a scan's tally of `_cell_keys`, its cells built in
+    ascending key order, so in canonical order, with one Fraction per
+    distinct |j|."""
+    cells = [(*divmod(key, runs + 1), n) for key, n in sorted(tally.items())]
+    rhos = {v: Fraction(runs - v, runs) for _, v, _ in cells}
+    return WordSpectrum(tuple((s, rhos[v], n) for s, v, n in cells))
 
 
 def _spectrum_wht(d: BinaryDesign, max_len: int) -> WordSpectrum:
     """The spectrum from j of every subset, tallied one WHT block at a
-    time: subset S = b * 2^c + s has size |b| + |s|, from one table of
-    the 2^c sizes |s|, so no 2^factors array of sizes or flags is made."""
+    time, so no 2^factors array of sizes or flags is made; a subset's
+    size is the popcount of its index."""
     j = _subset_j(d)
     block = min(j.size, 1 << _WHT_BLOCK_BITS)
-    table = _subset_sizes(block.bit_length() - 1)
-    # |j| <= runs, so width runs + 1 keeps the cells apart
-    width = d.runs + 1
     tally = Counter()
-    for b, lo in enumerate(range(0, j.size, block)):
+    for lo in range(0, j.size, block):
         # nonzero runs several times faster on flags than on ints
-        words = np.flatnonzero(j[lo:lo + block] != 0)
-        sizes = table[words] + b.bit_count()
+        words = np.flatnonzero(j[lo:lo + block] != 0) + lo
+        sizes = _popcount(words)
         keep = (sizes >= 3) & (sizes <= max_len)
-        keys, n = np.unique(_cell_keys(sizes[keep], j[lo + words[keep]],
-                                       width), return_counts=True)
+        keys, n = np.unique(_cell_keys(sizes[keep], j[words[keep]], d.runs),
+                            return_counts=True)
         tally.update(dict(zip(keys.tolist(), n.tolist())))
-    cells = [(*divmod(key, width), n) for key, n in tally.items()]
-    rhos = {v: Fraction(v, d.runs) for v in {v for _, v, _ in cells}}
-    return WordSpectrum(tuple((s, rhos[v], n) for s, v, n in cells))
+    return _scan_spectrum(tally, d.runs)
 
 
 def _spectrum_dfs(d: BinaryDesign, max_len: int) -> WordSpectrum:
@@ -350,7 +347,7 @@ def _spectrum_dfs(d: BinaryDesign, max_len: int) -> WordSpectrum:
     cols = [int.from_bytes(packed[:, i].tobytes(), "little")
             for i in range(d.factors)]
     runs = d.runs
-    found: dict[tuple[int, int], int] = {}
+    tally: dict[int, int] = {}
 
     def walk(start: int, depth: int, acc: int) -> None:
         for i in range(start, d.factors):
@@ -358,15 +355,14 @@ def _spectrum_dfs(d: BinaryDesign, max_len: int) -> WordSpectrum:
             size = depth + 1
             if size >= 3:
                 j = runs - 2 * cur.bit_count()
-                if j:
-                    key = (size, abs(j))
-                    found[key] = found.get(key, 0) + 1
+                if j:  # the key of `_cell_keys`
+                    key = size * (runs + 1) + runs - abs(j)
+                    tally[key] = tally.get(key, 0) + 1
             if size < max_len:
                 walk(i + 1, size, cur)
 
     walk(0, 0, 0)
-    entries = tuple((s, Fraction(v, runs), c) for (s, v), c in found.items())
-    return WordSpectrum(entries)
+    return _scan_spectrum(tally, runs)
 
 
 def spectrum_bruteforce(d: BinaryDesign, max_len: int,

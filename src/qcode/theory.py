@@ -19,7 +19,8 @@ from math import comb, factorial, isqrt
 
 import numpy as np
 
-from .equations import MAX_P, canonical_wordtypes, parity_classes
+from .equations import (MAX_P, _digits, _require_p, canonical_wordtypes,
+                        parity_classes)
 from .jchar import (BudgetExceeded, DesignSummary, WordSpectrum, _popcount,
                     spectrum_bruteforce, summarize, word_length_limit)
 from .z4 import (LEE_WEIGHTS, FrequencyVector, GeneratorSpec, _require_ints,
@@ -51,16 +52,19 @@ class SpectrumMismatch(RuntimeError):
     """Closed form and subset scan disagree; always a bug somewhere."""
 
 
+def _pattern(digits) -> np.ndarray:
+    """The parity pattern of each row of Z4 digits: the int whose bit i
+    is the parity of digit i."""
+    digits = np.asarray(digits)
+    return (digits & 1) @ (1 << np.arange(digits.shape[-1]))
+
+
 #: parity patterns whose frequency mass must be positive for the
 #: paper's p = 3 closed form: one even position, the other two odd
 _PRECONDITION_PARITIES = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 #: their columns in a p = 3 table sum (see `_cell_terms`)
-_PRECONDITION_COLUMNS = [63 + sum(b << i for i, b in enumerate(pi))
-                         for pi in _PRECONDITION_PARITIES]
-
-#: odd positions q of each p = 3 parity class, in A_order
-_Q3 = np.array([sum(pi) for pi in parity_classes(3)])
+_PRECONDITION_COLUMNS = 63 + _pattern(_PRECONDITION_PARITIES)
 
 
 @functools.cache
@@ -69,10 +73,9 @@ def _cell_terms(p: int) -> np.ndarray:
     as a row of V: Lee(v.w mod 4) to the dual word (w, -Vw) of every
     nonzero w (column w - 1), then one to the mass on v's parity pattern
     (see `_dual_tables`)."""
-    digits = cell_digits(np.arange(4 ** p), p).astype(np.uint8)
+    digits = _digits(p)
     lee = np.array(LEE_WEIGHTS, dtype=np.uint8)[digits @ digits[1:].T & 3]
-    pattern = (digits & 1) @ (1 << np.arange(p))
-    return np.hstack([lee, pattern[:, None] == np.arange(2 ** p)],
+    return np.hstack([lee, _pattern(digits)[:, None] == np.arange(2 ** p)],
                      dtype=np.uint8)
 
 
@@ -80,8 +83,7 @@ def _cell_sum(f: FrequencyVector) -> np.ndarray:
     """The one evaluation of f, its F-weighted sum of `_cell_terms` rows
     over its nonzero cells: K = C F, A = B F, the p = 3 preconditions and
     the dual pass are all read off it."""
-    if not 1 <= f.p <= MAX_P:
-        raise ValueError(f"p must be in 1..{MAX_P}, got {f.p}")
+    _require_p(f.p)
     if f.n > _MAX_N:
         raise ValueError(f"the closed form's int64 arithmetic is exact for "
                          f"F summing to at most {_MAX_N:,}; this F sums to "
@@ -93,13 +95,15 @@ def _cell_sum(f: FrequencyVector) -> np.ndarray:
 
 
 @functools.cache
-def _system_columns(p: int) -> tuple[np.ndarray, np.ndarray]:
+def _system_columns(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where the paper's system reads a table sum: the column w - 1 of
     each canonical wordtype w (K), and dot(u, pi) over the parity
-    patterns u, for each parity class pi (A = mass @ it)."""
+    patterns u, for each parity class pi (A = mass @ it); and |pi|, the
+    odd positions of each class, in A_order."""
     kinds = cell_index(np.array(canonical_wordtypes(p))) - 1
-    classes = np.array(parity_classes(p)) @ (1 << np.arange(p))
-    return kinds, _dual_tables(p)[3][:, classes]
+    classes = _pattern(parity_classes(p))
+    size, dot = _dual_tables(p)[2:4]
+    return kinds, dot[:, classes], size[classes]
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,7 @@ def evaluate(f: FrequencyVector) -> TheoryEvaluation:
 
 
 def _evaluation(terms: np.ndarray, p: int) -> TheoryEvaluation:
-    kinds, dot = _system_columns(p)
+    kinds, dot, _ = _system_columns(p)
     return TheoryEvaluation(p, tuple(terms[kinds].tolist()),
                             tuple((terms[4 ** p - 1:] @ dot).tolist()))
 
@@ -184,7 +188,8 @@ def class_rhos(f: FrequencyVector) -> tuple[Fraction, ...]:
 
 
 def _class_rhos(ev: TheoryEvaluation) -> tuple[Fraction, ...]:
-    return tuple(map(_dyadic, aliasing_exponent(_Q3, ev.a_values).tolist()))
+    size = _system_columns(3)[2]
+    return tuple(map(_dyadic, aliasing_exponent(size, ev.a_values).tolist()))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -201,16 +206,16 @@ def _whole(c: int) -> Fraction:
 
 @functools.cache
 def _dual_tables(p: int) -> tuple[np.ndarray, ...]:
-    """The per-p constants of the dual pass, a parity pattern being an int
-    whose bit i is the parity of digit i: Lee(w) and the pattern of each
-    nonzero w; |pi|, dot(u, pi) and [delta inside pi] over the patterns;
-    and per u, flat over (pi, delta), [dot(u, pi) even, dot(u, delta)
-    odd] and dot(u, pi) dot(u, delta), each for one matmul by the mass."""
-    digits = cell_digits(np.arange(1, 4 ** p), p)
+    """The per-p constants of the dual pass, over the parity patterns
+    (`_pattern`): Lee(w) and the pattern of each nonzero w; |pi| (int64),
+    dot(u, pi) and [delta inside pi] over the patterns; and per u, flat
+    over (pi, delta), [dot(u, pi) even, dot(u, delta) odd] and
+    dot(u, pi) dot(u, delta), each for one matmul by the mass."""
+    digits = _digits(p)[1:]
     pats = np.arange(2 ** p)
     dot = (_popcount(pats[:, None] & pats) & 1).astype(np.int64)
-    return (np.take(LEE_WEIGHTS, digits).sum(axis=1),
-            (digits & 1) @ (1 << np.arange(p)), _popcount(pats), dot,
+    return (np.take(LEE_WEIGHTS, digits).sum(axis=1), _pattern(digits),
+            _popcount(pats).astype(np.int64), dot,
             pats & ~pats[:, None] == 0,
             ((1 - dot)[:, :, None] * dot[:, None]).reshape(len(pats), -1),
             (dot[:, :, None] * dot[:, None]).reshape(len(pats), -1))
@@ -402,11 +407,11 @@ def periodic_extend(f0: FrequencyVector, t: int) -> PeriodicFamily:
     Both shift identities are re-checked here on the actual vectors.
     The base's shortest length r and aliasing index rho = 2^-e are read
     off its K and A values, with no dual pass: under the preconditions
-    the paper's closed form gives each canonical wordtype w the length
-    L_w = Lee(w) + K_w and the exponent aliasing_exponent(q, A) of its
-    parity class (0 for a fully even w, whose L_w is at least 6), as the
-    dual pass does.  r is the least L_w of 3 or more, and e the least
-    exponent at r.
+    the paper's closed form gives each nonzero w the length
+    L_w = Lee(w) + K_w and the exponent aliasing_exponent(|pi|, A_pi)
+    of its parity pattern pi (0 for a fully even w, whose L_w is at
+    least 6), as the dual pass does.  r is the least L_w of 3 or more,
+    and e the least exponent at r.
     """
     _require_ints("t", (t,))
     if t < 0:
@@ -414,35 +419,24 @@ def periodic_extend(f0: FrequencyVector, t: int) -> PeriodicFamily:
     terms0 = _require_preconditions(f0)
     ft = FrequencyVector(f0.p, (f0.counts[0],)
                          + tuple(c + t for c in f0.counts[1:]))
-    kinds, dot = _system_columns(3)
+    kinds, dot = _system_columns(3)[:2]
     shift = _cell_sum(ft) - terms0
     if (shift[kinds] != 64 * t).any():
         raise AssertionError("word-count shift identity violated")
     if (shift[63:] @ dot != 32 * t).any():
         raise AssertionError("parity-sum shift identity violated")
-    # the base's L_w = Lee(w) + K_w and e_w per canonical wordtype w: its
-    # least length r0 of 3 or more, and the least exponent e0 there
-    lee, cls = _wordtype_classes()
-    lengths = lee + terms0[kinds]
-    exps = np.append(aliasing_exponent(_Q3, terms0[63:] @ dot), 0)[cls]
+    # L_w = Lee(w) + K_w and e_w (its pattern's exponent) per nonzero w:
+    # the least length r0 of 3 or more, and the least exponent e0 there
+    lee, pattern, size, patterns_dot = _dual_tables(3)[:4]
+    lengths = lee + terms0[:63]
+    exps = np.where(size > 0,
+                    aliasing_exponent(size, terms0[63:] @ patterns_dot),
+                    0)[pattern]
     r0 = int(lengths[lengths >= 3].min())
     e0 = int(exps[lengths == r0].min())
     r = 64 * t + r0
     rho = _dyadic(16 * t + e0 if e0 else 0)
     return PeriodicFamily(f0, t, ft, r, rho, r + 1 - rho)
-
-
-@functools.cache
-def _wordtype_classes() -> tuple[np.ndarray, np.ndarray]:
-    """Lee(w) of each p = 3 canonical wordtype w, in K order, and where
-    its exponent sits in the A_order row of class exponents with a 0
-    appended: its parity class, or that 0 for a fully even w."""
-    kinds = _system_columns(3)[0]
-    lee, pattern = _dual_tables(3)[:2]
-    rank = np.full(8, len(_Q3))
-    rank[np.array(parity_classes(3)) @ (1 << np.arange(3))] = np.arange(
-        len(_Q3))
-    return lee[kinds], rank[pattern[kinds]]
 
 
 def fixed_point_7(x: Fraction) -> str:

@@ -86,6 +86,66 @@ def test_verify_examples_reports_missing_cell(monkeypatch, field):
         f"design_256x14: {field} expected 34 cells, got 35"]
 
 
+#: one frozen output per parametrization: (section, field, cell or None,
+#: tampered value, the label its diff starts with)
+TAMPERED_OUTPUTS = [
+    ("oplus_p2", "k_10", 3, 2, "oplus_p2: k_10 cell 3: "),
+    ("oplus_p2", "k_02", 0, 1, "oplus_p2: k_02 cell 0: "),
+    ("oplus_p2", "sum", 15, 0, "oplus_p2: sum cell 15: "),
+    ("all_odd_p2_partition", "zero_cells", 0, "02",
+     "all_odd_p2_partition: zero_cells "),
+    ("all_odd_p2_partition", "one_cells", 7, "33",
+     "all_odd_p2_partition: one_cells "),
+    ("all_odd_p2_partition", "two_cells", 3, "00",
+     "all_odd_p2_partition: two_cells "),
+    ("design_256x14", "F_one_cells", 2, 30, "design_256x14: F_one_cells "
+     "cell 2: "),
+    ("design_256x14", "A", 6, 2, "design_256x14: A cell 6: "),
+    ("design_256x14", "K", 5, 7, "design_256x14: K cell 5 "),
+    ("design_256x14", "lengths", 5, 9, "design_256x14: lengths cell 5 "),
+    ("design_256x14", "spectrum", 1, [8, "1", 8],
+     "design_256x14: spectrum cell 1 cell 2: "),
+    ("design_256x14", "gwlp_from_1", 5, 41, "design_256x14: gwlp_from_1 "
+     "A_6: "),
+    ("design_256x14", "resolution", None, "6", "design_256x14: resolution "),
+    ("periodic_extension", "Ft", 22, 1, "periodic_extension: Ft cell 22: "),
+    ("periodic_extension", "r", None, 71, "periodic_extension: r "),
+    ("periodic_extension", "rho", None, "1/65536",
+     "periodic_extension: rho "),
+    ("periodic_extension", "rendered_resolution", None, "70.9999925",
+     "periodic_extension: rendered_resolution "),
+] + [("wordtype_counts", p, None, 0, f"wordtype_counts: p={p} ")
+      for p in "1234"]
+
+
+@pytest.mark.parametrize("section, field, cell, value, label",
+                         TAMPERED_OUTPUTS,
+                         ids=[f"{s}.{f}" for s, f, *_ in TAMPERED_OUTPUTS])
+def test_verify_examples_reports_each_tampered_output(
+        monkeypatch, section, field, cell, value, label):
+    """One frozen output value changed gives exactly one diff, and it
+    names that field."""
+    real = load_examples()
+    if cell is None:
+        real[section][field] = value
+    else:
+        assert real[section][field][cell] != value
+        real[section][field][cell] = value
+    monkeypatch.setattr(golden, "load_examples", lambda: real)
+    diffs = verify_examples()
+    assert len(diffs) == 1, diffs
+    assert diffs[0].startswith(label)
+
+
+def test_every_frozen_output_is_tampered_once():
+    """The cases above cover every field of examples.json but the inputs
+    V and t."""
+    fields = {(s, f) for s, section in load_examples().items()
+              for f in section}
+    inputs = {("design_256x14", "V"), ("periodic_extension", "t")}
+    assert fields - inputs == {(s, f) for s, f, *_ in TAMPERED_OUTPUTS}
+
+
 def test_verify_does_not_write_golden_files():
     paths = sorted((golden.files("qcode") / "golden").iterdir(),
                    key=lambda f: f.name)

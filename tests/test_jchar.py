@@ -22,7 +22,7 @@ from qcode import (BinaryDesign, BudgetExceeded, GeneratorSpec,
                    spectrum_bruteforce, summarize)
 from qcode import jchar
 from qcode.jchar import (_cell_keys, _popcount, _spectrum_dfs, _spectrum_wht,
-                         _subset_j, _subset_sizes, _wht_in_place,
+                         _subset_j, _wht_in_place,
                          negation_masks, scan_cost, walsh_hadamard)
 
 HALF = Fraction(1, 2)
@@ -293,44 +293,66 @@ def test_dfs_agrees_with_wht_across_two_blocks(rng):
     assert _spectrum_dfs(d, 18) == _spectrum_wht(d, 18)
 
 
-def test_subset_sizes_match_popcount():
-    for factors in range(1, 21):
-        sizes = _subset_sizes(factors)
-        assert sizes.dtype == np.uint8
-        full = _popcount(np.arange(1 << factors, dtype=np.uint32))
-        assert (sizes == full).all()
-
-
 def test_popcount_without_bitwise_count(monkeypatch, rng):
     """The fallback for a numpy without `bitwise_count` (numpy < 2)
-    against `bitwise_count` itself: the same counts, as uint8, with the
-    top bits set and, on int64, negative values (counted on |a|)."""
+    against Python's `int.bit_count`: the same counts, as uint8, with the
+    top bits set and, on int64, negative values (counted on |a|).  On
+    numpy < 2 the fallback is the only path, and this runs it as is."""
     samples = {
         np.uint8: [0, 1, 0x80, 0xFF],
         np.uint32: [0, 1, 0x80000000, 0xFFFFFFFF, 0x7FFFFFFF],
         np.int64: [0, 1, -1, 2 ** 62, 2 ** 63 - 1, -2 ** 63, -2 ** 62 - 7],
     }
-    want = {}
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
     for dtype, values in samples.items():
         a = np.array(values + rng.integers(0, 255, 8).tolist(), dtype=dtype)
-        samples[dtype] = a = np.stack([a, a[::-1]])
-        want[dtype] = np.bitwise_count(a)
-    monkeypatch.delattr(np, "bitwise_count")
-    for dtype, a in samples.items():
+        a = np.stack([a, a[::-1]])
         got = _popcount(a)
-        assert got.dtype == want[dtype].dtype == np.uint8
-        assert got.tolist() == want[dtype].tolist()
+        assert got.dtype == np.uint8
+        assert got.tolist() == [[abs(v).bit_count() for v in row]
+                                for row in a.tolist()]
 
 
 def test_cell_keys_are_int64_past_a_uint8_product(rng):
     # runs = 64: width 65, so size 4 gives 260, past uint8
     sizes = np.array([3, 4, 4, 20], dtype=np.uint8)
     j = np.array([-64, 64, -1, 2], dtype=np.int8)
-    keys = _cell_keys(sizes, j, 65)
+    keys = _cell_keys(sizes, j, 64)
     assert keys.dtype == np.int64
-    assert keys.tolist() == [3 * 65 + 64, 4 * 65 + 64, 4 * 65 + 1, 20 * 65 + 2]
+    assert keys.tolist() == [3 * 65 + 0, 4 * 65 + 0, 4 * 65 + 63, 20 * 65 + 62]
     d = BinaryDesign(64, 8, rng.choice([-1, 1], size=(64, 8)).astype(np.int8))
     assert _spectrum_dfs(d, 8) == _spectrum_wht(d, 8)
+
+
+def test_scan_spectra_leave_in_canonical_order(monkeypatch, rng):
+    """Both scans hand `WordSpectrum` their cells already by length, then
+    largest rho first, so it never takes its sort path.  The designs are
+    random +-1 matrices: run counts that are no power of 2 (non-dyadic
+    rho), repeated runs, and 18 factors (two WHT blocks)."""
+    designs = [BinaryDesign(runs, factors, rng.choice(
+        [-1, 1], size=(runs, factors)).astype(np.int8))
+        for runs, factors in ((13, 7), (24, 9), (64, 8), (100, 10))]
+    for runs, factors, rows in ((19, 7, 8), (50, 18, 20)):
+        base = rng.choice([-1, 1], size=(rows, factors)).astype(np.int8)
+        designs.append(BinaryDesign(runs, factors, np.resize(
+            base, (runs, factors))))
+    real, seen = jchar._checked_in_order, []
+
+    def checked(entries):
+        seen.append(real(entries))
+        return seen[-1]
+
+    monkeypatch.setattr(jchar, "_checked_in_order", checked)
+    for d in designs:
+        scans = [_spectrum_wht(d, d.factors)]
+        if d.factors <= 10:
+            scans += [_spectrum_dfs(d, d.factors), _spectrum_dfs(d, 5)]
+        for spec in scans:
+            assert len(spec.entries) > 1
+            want = sorted(spec.entries, key=lambda e: (e[0], -e[1]))
+            assert list(spec.entries) == want
+            assert WordSpectrum(spec.entries).entries is spec.entries
+    assert seen and all(seen)
 
 
 def test_subset_j_transforms_in_one_buffer_and_a_block(rng):

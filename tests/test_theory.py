@@ -31,9 +31,10 @@ from qcode import (FrequencyVector, GeneratorSpec, PreconditionError,
 from qcode.equations import MAX_P, build_system, canonical_wordtypes, cells
 from qcode.theory import (WORK_BUDGET, _best_frequencies, _cell_sum,
                           _cell_terms, _distinct_rows, _dual_keys,
-                          _dual_words, _half_excess, _orbit_frequencies,
-                          _orbit_representatives, _pair_classes,
-                          _ranked_orbits, _system_columns, search_work)
+                          _dual_tables, _dual_words, _half_excess,
+                          _orbit_frequencies, _orbit_representatives,
+                          _pair_classes, _ranked_orbits, _system_columns,
+                          search_work)
 from qcode import theory
 from qcode.z4 import LEE_WEIGHTS, MAX_N, cell_index
 
@@ -400,11 +401,14 @@ def test_analyze_bruteforce_above_max_p():
 
 
 def test_evaluate_arrays_built_once_per_p(f256):
-    """The table and the column maps that `evaluate` reads are cached per
-    p, and K is the table's F-weighted row sum at the canonical
-    wordtypes."""
-    assert _cell_terms(3) is _cell_terms(3)
-    assert _system_columns(2)[1] is _system_columns(2)[1]
+    """Every table the closed form reads per call (`evaluate`,
+    `class_rhos`, `periodic_extend` and the dual pass) is cached per p:
+    a second call returns the same objects.  K is the table's F-weighted
+    row sum at the canonical wordtypes."""
+    for p in (2, 3):
+        for tables in (_cell_terms, _system_columns, _dual_tables):
+            assert tables(p) is tables(p)
+    assert theory._digits(3) is theory._digits(3)
     kinds = _system_columns(3)[0]
     k = np.asarray(f256.counts) @ _cell_terms(3)[:, kinds].astype(np.int64)
     assert evaluate(f256).k_values == tuple(k.tolist())
