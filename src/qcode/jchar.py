@@ -7,6 +7,7 @@ scan is the ground truth that the closed-form layer is tested against.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +48,9 @@ _WHT_BLOCK_BITS = 17
 #: (0.4-0.9 ns a cell, against 1.2-1.3 ns for one whole-block copy, on
 #: a 2-core x86 machine)
 _TRANSPOSE_ROWS = 32
+
+#: fewest low bits `_subset_j` gathers; shorter rows gather slower
+_GATHER_MIN_BITS = 5
 
 #: runs per block of `negation_masks`
 _MASK_RUNS = 1 << 16
@@ -235,21 +239,23 @@ def _transpose(src: np.ndarray, dst: np.ndarray) -> None:
         np.copyto(dst[:, :, lo:hi], src[:, lo:hi].swapaxes(1, 2))
 
 
-def _wht_in_place(a: np.ndarray) -> np.ndarray:
+def _wht_in_place(a: np.ndarray, done: int = 0) -> np.ndarray:
     """WHT of `a` along its last axis (leading axes are a batch), in place
     in `a` plus one scratch block; entry S of the result is j of column
-    subset S.
+    subset S.  Bits below `done` count as transformed already.
 
     Cache-blocked, in natural order throughout: each block of 2^c cells
     (c = `_WHT_BLOCK_BITS`, or fewer on a shorter axis) takes its low c
-    bits while it is cached.  As a (2^(c/2), 2^(c - c/2)) matrix its
-    row bits are butterflies on whole rows; transposed into the scratch
-    block its column bits are row bits too, and it is transposed back.
-    The f - c high bits then go one column strip of the (2^(f-c), 2^c)
-    view at a time, at most c bits per pass, with the same scratch."""
+    bits while it is cached.  With bits done (rows of 2^done cells),
+    those are butterflies on rows in place.  Otherwise, as a (2^(c/2),
+    2^(c - c/2)) matrix, its row bits are butterflies on whole rows;
+    transposed into the scratch block its column bits are row bits too,
+    and it is transposed back.  The high bits then go one
+    column strip of the (2^(f-c), 2^c) view at a time, at most c bits
+    per pass, with the same scratch."""
     size = a.shape[-1]
     bits = size.bit_length() - 1
-    if bits < 1:
+    if bits <= done:
         return a
     c = min(bits, _WHT_BLOCK_BITS)
     cells = a.reshape(-1)
@@ -259,6 +265,11 @@ def _wht_in_place(a: np.ndarray) -> np.ndarray:
     turned = (-1, 1 << (c - half), 1 << half)
     for lo in range(0, cells.size, len(scratch)):
         block = cells[lo:lo + len(scratch)]
+        if done:
+            x, _ = _butterflies(block, scratch[:block.size], range(done, c))
+            if x is not block:
+                np.copyto(block, x)
+            continue
         x, y = _butterflies(block, scratch[:block.size], range(c - half, c))
         _transpose(x.reshape(matrix), y.reshape(turned))
         x, y = _butterflies(y, x, range(half, c))
@@ -267,7 +278,7 @@ def _wht_in_place(a: np.ndarray) -> np.ndarray:
             x, y = y, x
         _transpose(x.reshape(turned), y.reshape(matrix))
     rows = cells.reshape(-1, size)
-    for k in range(c, bits, c):
+    for k in range(max(c, done), bits, c):
         g = min(c, bits - k)
         # (row, strip, 2^g rows of the strip, its 2^(c-g) columns)
         strips = rows.reshape(-1, 1 << g, (1 << k) >> (c - g),
@@ -287,18 +298,56 @@ def walsh_hadamard(counts: np.ndarray) -> np.ndarray:
     return _wht_in_place(counts.copy())
 
 
+@functools.cache
+def _hadamard(b: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only 2^b x 2^b Hadamard matrix: row lo is the WHT of unit lo."""
+    h = _wht_in_place(np.eye(1 << b, dtype=dtype))
+    h.flags.writeable = False
+    return h
+
+
+def _rows_from_runs(d: BinaryDesign, b: int) -> np.ndarray:
+    """The negation masks' histogram, transformed on its low b bits, in
+    the narrowest integer type that holds +-runs.  In the (2^(f-b), 2^b)
+    view a run with mask hi * 2^b + lo adds row lo of H_b to row hi.
+    The count of runs per row comes first, and is the whole fill at
+    b = 0.  The indexes are freed before the buffer is made."""
+    dtype = np.min_scalar_type(-d.runs - 1)
+    hi = negation_masks(d)
+    lo = np.empty(len(hi), dtype=np.uint8)  # no int64 temporary
+    np.bitwise_and(hi, (1 << b) - 1, out=lo, casting="unsafe")
+    np.right_shift(hi, b, out=hi)
+    hits = np.zeros(1 << (d.factors - b), dtype=dtype)
+    np.add.at(hits, hi, dtype.type(1))  # a Python 1 takes a slow cast
+    if not b:
+        return hits
+    cell = np.zeros(len(hits), dtype=np.uint8)  # lo of a run in each row
+    cell[hi] = lo
+    several = hits[hi] > 1  # never in a code's design
+    hi, lo = hi[several], lo[several]
+    h_b = _hadamard(b, dtype)
+    out = np.empty(1 << d.factors, dtype=dtype)
+    rows = out.reshape(len(hits), -1)
+    step = (1 << _WHT_BLOCK_BITS) >> b
+    for at in range(0, len(rows), step):
+        np.take(h_b, cell[at:at + step], axis=0, out=rows[at:at + step],
+                mode="clip")  # "raise" would buffer `out`
+    rows[hits != 1] = 0
+    for at in range(0, len(hi), step):
+        np.add.at(rows, hi[at:at + step], h_b[lo[at:at + step]])
+    return out
+
+
 def _subset_j(d: BinaryDesign) -> np.ndarray:
-    """j of every column subset: a histogram of the negation masks, then
-    its WHT in place, both in the narrowest integer type that holds
-    +-runs: one buffer of 2^factors cells, and one WHT block.  Each
-    2^16-run chunk adds its distinct masks once, with their counts, so
-    the fancy += never meets a cell twice."""
-    counts = np.zeros(1 << d.factors, dtype=np.min_scalar_type(-d.runs - 1))
-    masks = negation_masks(d)
-    for lo in range(0, d.runs, _MASK_RUNS):
-        cells, n = np.unique(masks[lo:lo + _MASK_RUNS], return_counts=True)
-        counts[cells] += n
-    return _wht_in_place(counts)
+    """j of every column subset, as the WHT of the negation masks'
+    histogram: one buffer of 2^factors cells, and one WHT block.  Its
+    low b bits are a gather of Hadamard rows; a Z4 code's design has
+    b = 2p (capped at half a block), one run per row, as the Gray bits
+    of its identity columns take every value."""
+    b = min(d.factors - (max(d.runs, 1).bit_length() - 1),
+            _WHT_BLOCK_BITS // 2)
+    b = b if b >= _GATHER_MIN_BITS else 0
+    return _wht_in_place(_rows_from_runs(d, b), b)
 
 
 def _cell_keys(sizes: np.ndarray, j: np.ndarray, runs: int) -> np.ndarray:

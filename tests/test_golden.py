@@ -1,10 +1,13 @@
 """Frozen-data integrity and the full regeneration diff."""
 
+from itertools import combinations
+
 import pytest
 
 from qcode.cli import main
-from qcode import (GoldenDataError, load_examples, load_matrices,
-                   verify_all, verify_examples, verify_matrices)
+from qcode import (GeneratorSpec, GoldenDataError, aliasing_index,
+                   build_design, load_examples, load_matrices, verify_all,
+                   verify_examples, verify_matrices)
 import qcode.golden as golden
 from conftest import tamper_design_256x14
 
@@ -118,9 +121,18 @@ TAMPERED_OUTPUTS = [
       for p in "1234"]
 
 
+#: A_1 and A_2, the cells of gwlp_from_1 that the oracle's j of the
+#: single columns and pairs checks, apart from the GWLP from A_3 on
+TAMPERED_SHORT_GWLP = [
+    ("design_256x14", "gwlp_from_1", cell, 1,
+     f"design_256x14: gwlp_from_1 A_{cell + 1}: ") for cell in (0, 1)]
+
+
 @pytest.mark.parametrize("section, field, cell, value, label",
-                         TAMPERED_OUTPUTS,
-                         ids=[f"{s}.{f}" for s, f, *_ in TAMPERED_OUTPUTS])
+                         TAMPERED_OUTPUTS + TAMPERED_SHORT_GWLP,
+                         ids=[f"{s}.{f}" for s, f, *_ in TAMPERED_OUTPUTS]
+                         + [f"design_256x14.gwlp_from_1.A_{c + 1}"
+                            for _, _, c, *_ in TAMPERED_SHORT_GWLP])
 def test_verify_examples_reports_each_tampered_output(
         monkeypatch, section, field, cell, value, label):
     """One frozen output value changed gives exactly one diff, and it
@@ -135,6 +147,25 @@ def test_verify_examples_reports_each_tampered_output(
     diffs = verify_examples()
     assert len(diffs) == 1, diffs
     assert diffs[0].startswith(label)
+
+
+@pytest.mark.parametrize("V", [((2, 3, 3), (3, 2, 2)), ((1, 0), (3, 0))])
+def test_short_gwlp_sums_the_single_columns_and_pairs(V):
+    """A_1 and A_2 against one J-characteristic per subset: equal Z4
+    columns alias binary pairs (A_2 > 0), and a zero column of V gives
+    constant binary columns (A_1 > 0)."""
+    g = GeneratorSpec(len(V), len(V[0]), V)
+    d = build_design(g)
+    want = [sum(aliasing_index(d, s) ** 2 for s in combinations(
+        range(1, d.factors + 1), k)) for k in (1, 2)]
+    assert golden._short_gwlp(g) == want
+    assert any(want)
+
+
+def test_verify_examples_diffs_the_oracles_short_gwlp(monkeypatch):
+    monkeypatch.setattr(golden, "_short_gwlp", lambda g: [0, 3])
+    assert verify_examples() == [
+        "design_256x14: gwlp_from_1 A_2: expected 0, got 3"]
 
 
 def test_every_frozen_output_is_tampered_once():

@@ -369,6 +369,118 @@ def test_subset_j_transforms_in_one_buffer_and_a_block(rng):
     assert peak < 1.25 * j.nbytes
 
 
+def _subset_j_reference(d):
+    """The mask histogram, each distinct mask once with its count, then
+    the unblocked two-buffer transform."""
+    counts = np.zeros(1 << d.factors, dtype=np.min_scalar_type(-d.runs - 1))
+    cells, n = np.unique(negation_masks(d), return_counts=True)
+    counts[cells] += n
+    return _wht_reference(counts)
+
+
+def _gathered_bits(monkeypatch, d):
+    """`_subset_j(d)` and the low bits it handed the kernel as done."""
+    done, kernel = [], jchar._wht_in_place
+
+    def spy(a, bits=0):
+        done.append(bits)
+        return kernel(a, bits)
+
+    monkeypatch.setattr(jchar, "_wht_in_place", spy)
+    j = _subset_j(d)
+    monkeypatch.setattr(jchar, "_wht_in_place", kernel)
+    return j, done[-1]
+
+
+@pytest.mark.parametrize("p, b", [(1, 0), (2, 0), (3, 6), (4, 8), (5, 8)])
+def test_subset_j_gathers_hadamard_rows_of_a_code_design(monkeypatch, rng,
+                                                         p, b):
+    """b = 2p low bits come from the gather from p = 3 on (rows of 2^6
+    cells), capped at 8 (p = 5 leaves rows that no run hits); p = 1 and
+    2 keep the histogram (b = 0)."""
+    for n in range(1, 9 - p):
+        d = build_design(random_generator(rng, n, p))
+        want = _subset_j_reference(d)
+        got, done = _gathered_bits(monkeypatch, d)
+        assert got.dtype == want.dtype and (got == want).all(), (p, n)
+        assert done == b
+
+
+@pytest.mark.parametrize("runs, factors", [(1, 3), (1, 9), (13, 7), (13, 10),
+                                           (150, 12), (150, 18)])
+def test_subset_j_sums_the_rows_of_repeated_runs(monkeypatch, rng, runs,
+                                                 factors):
+    """Random designs with repeated runs: a run count that is no power of
+    2 puts several runs in a row, and copies put one mask in a row
+    several times; (150, 18) spans two WHT blocks."""
+    base = rng.choice([-1, 1], size=(max(1, runs // 3), factors))
+    d = BinaryDesign(runs, factors,
+                     np.vstack([base] * 4)[:runs].astype(np.int8))
+    want = _subset_j_reference(d)
+    got, done = _gathered_bits(monkeypatch, d)
+    assert got.dtype == want.dtype and (got == want).all()
+    low = factors - (runs.bit_length() - 1)
+    assert done == (min(low, 8) if low >= 5 else 0)
+
+
+@pytest.mark.parametrize("factors", [3, 5, 7, 9])
+def test_spectrum_of_a_design_with_no_runs_is_empty(factors):
+    """No runs: the gather's row bits stay within the factors, and every
+    j is 0."""
+    d = BinaryDesign(0, factors, np.zeros((0, factors), dtype=np.int8))
+    assert (_subset_j(d) == 0).all()
+    assert spectrum_bruteforce(d, 3).entries == ()
+
+
+@pytest.mark.parametrize("block_bits", [1, 2, 3])
+def test_subset_j_at_every_block_split(monkeypatch, rng, block_bits):
+    """Blocks of 2^1..2^3 cells leave b = 0, the histogram; with the
+    gather let down to 1 bit too, it runs in chunks of a few runs."""
+    monkeypatch.setattr(jchar, "_WHT_BLOCK_BITS", block_bits)
+    designs = [build_design(random_generator(rng, n, p))
+               for p, n in ((1, 2), (2, 2), (3, 1))]
+    base = rng.choice([-1, 1], size=(5, 9)).astype(np.int8)
+    designs.append(BinaryDesign(13, 9, np.vstack([base, base, base[:3]])))
+    for gather_bits in (5, 1):
+        monkeypatch.setattr(jchar, "_GATHER_MIN_BITS", gather_bits)
+        for d in designs:
+            want = _subset_j_reference(d)
+            got = _subset_j(d)
+            assert got.dtype == want.dtype and (got == want).all()
+
+
+@pytest.mark.parametrize("block_bits", [1, 2, 3, 17])
+def test_wht_skips_the_bits_already_done(monkeypatch, rng, block_bits):
+    """Input transformed on its low `done` bits only, by the reference
+    on rows of 2^done cells: the kernel's remaining bits give the whole
+    transform, for one axis and a batch."""
+    monkeypatch.setattr(jchar, "_WHT_BLOCK_BITS", block_bits)
+    for factors in range(11):
+        for done in range(factors + 1):
+            a = rng.integers(-5, 5, (3, 1 << factors))
+            low = _wht_reference(a.reshape(3, -1, 1 << done).copy())
+            want = _wht_reference(a.copy())
+            low = low.reshape(a.shape)
+            for x, w in ((low, want), (low[0], want[0])):
+                assert (_wht_in_place(x.copy(), done) == w).all(), (
+                    factors, done)
+
+
+def test_subset_j_gathers_in_one_buffer_and_a_block(rng):
+    # the gather fills the transform's one buffer straight from the
+    # Hadamard rows, with its indexes freed before the buffer is made
+    d = build_design(random_generator(rng, 7, 3))
+    assert d.factors == 20
+    tracemalloc.start()
+    try:
+        j = _subset_j(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert j.size == 1 << 20
+    assert peak < 1.25 * j.nbytes
+
+
 _RHOS = st.integers(1, 30).flatmap(
     lambda den: st.builds(Fraction, st.integers(1, den), st.just(den)))
 
