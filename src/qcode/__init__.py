@@ -21,10 +21,9 @@ from .jchar import (DesignSummary, WordSpectrum, aliasing_index,
                     spectrum_bruteforce, summarize)
 from .theory import (PeriodicFamily, PreconditionError, SpectrumMismatch,
                      TheoryEvaluation, TheoryReport, aliasing_exponent,
-                     analyze, candidate_count, class_rhos, evaluate,
-                     fixed_point_7, parity_class_sums, periodic_extend,
-                     precondition_sums, preconditions_met, search,
-                     theory_spectrum)
+                     analyze, class_rhos, evaluate, fixed_point_7,
+                     periodic_extend, precondition_sums, preconditions_met,
+                     search, theory_spectrum)
 from .z4 import (BinaryDesign, BudgetExceeded, FrequencyVector,
                  GeneratorSpec, build_design, codewords, design_from_text,
                  design_to_text, frequency_vector,
@@ -41,13 +40,13 @@ __all__ = [
     "TheoryEvaluation", "TheoryReport", "WordSpectrum", "a_equation",
     "aliasing_exponent", "aliasing_index", "all_odd_closed_form",
     "analyze", "basis_single_one", "basis_single_two", "build_design",
-    "build_system", "ca_add", "candidate_count", "canonical_wordtypes",
+    "build_system", "ca_add", "canonical_wordtypes",
     "class_rhos", "codewords", "design_from_text", "design_to_text",
     "duplicated_column_pairs", "evaluate", "fixed_point_7",
     "frequency_vector", "generator_for_frequency", "gray_map",
     "j_characteristic", "lee_weight", "lift_all_odd", "lift_insert_zero",
     "load_examples", "load_generator", "load_matrices", "parity_classes",
-    "parity_class_sums", "periodic_extend", "precondition_sums",
+    "periodic_extend", "precondition_sums",
     "preconditions_met", "save_generator", "search",
     "spectrum_bruteforce", "summarize", "theory_spectrum",
     "toggle_entry", "verify_all", "verify_examples", "verify_matrices",

@@ -42,16 +42,6 @@ _WHT_MAX_FACTORS = 24
 #: on a strip of the high bits, read and write cached rows
 _WHT_BLOCK_BITS = 17
 
-#: rows read per step of a block transpose: whole columns of a block,
-#: 2^k cells apart, fall in so few cache sets that each line is evicted
-#: before its next cell is read; 32 rows at a time stay in the L1 cache
-#: (0.4-0.9 ns a cell, against 1.2-1.3 ns for one whole-block copy, on
-#: a 2-core x86 machine)
-_TRANSPOSE_ROWS = 32
-
-#: fewest low bits `_subset_j` gathers; shorter rows gather slower
-_GATHER_MIN_BITS = 5
-
 #: runs per block of `negation_masks`
 _MASK_RUNS = 1 << 16
 
@@ -231,28 +221,17 @@ def _butterflies(x: np.ndarray, y: np.ndarray, bits) -> tuple[np.ndarray,
     return x, y
 
 
-def _transpose(src: np.ndarray, dst: np.ndarray) -> None:
-    """dst (m, cols, rows) = src (m, rows, cols) transposed, a band of
-    `_TRANSPOSE_ROWS` source rows at a time."""
-    for lo in range(0, src.shape[1], _TRANSPOSE_ROWS):
-        hi = lo + _TRANSPOSE_ROWS
-        np.copyto(dst[:, :, lo:hi], src[:, lo:hi].swapaxes(1, 2))
-
-
 def _wht_in_place(a: np.ndarray, done: int = 0) -> np.ndarray:
     """WHT of `a` along its last axis (leading axes are a batch), in place
     in `a` plus one scratch block; entry S of the result is j of column
     subset S.  Bits below `done` count as transformed already.
 
     Cache-blocked, in natural order throughout: each block of 2^c cells
-    (c = `_WHT_BLOCK_BITS`, or fewer on a shorter axis) takes its low c
-    bits while it is cached.  With bits done (rows of 2^done cells),
-    those are butterflies on rows in place.  Otherwise, as a (2^(c/2),
-    2^(c - c/2)) matrix, its row bits are butterflies on whole rows;
-    transposed into the scratch block its column bits are row bits too,
-    and it is transposed back.  The high bits then go one
-    column strip of the (2^(f-c), 2^c) view at a time, at most c bits
-    per pass, with the same scratch."""
+    (c = `_WHT_BLOCK_BITS`, or fewer on a shorter axis) takes its low
+    bits done..c-1 while it is cached, as butterflies on rows of 2^done
+    cells and up, in place.  The high bits then go one column strip of
+    the (2^(f-c), 2^c) view at a time, at most c bits per pass, with the
+    same scratch."""
     size = a.shape[-1]
     bits = size.bit_length() - 1
     if bits <= done:
@@ -260,23 +239,11 @@ def _wht_in_place(a: np.ndarray, done: int = 0) -> np.ndarray:
     c = min(bits, _WHT_BLOCK_BITS)
     cells = a.reshape(-1)
     scratch = np.empty(min(cells.size, 1 << _WHT_BLOCK_BITS), dtype=a.dtype)
-    half = c // 2
-    matrix = (-1, 1 << half, 1 << (c - half))
-    turned = (-1, 1 << (c - half), 1 << half)
     for lo in range(0, cells.size, len(scratch)):
         block = cells[lo:lo + len(scratch)]
-        if done:
-            x, _ = _butterflies(block, scratch[:block.size], range(done, c))
-            if x is not block:
-                np.copyto(block, x)
-            continue
-        x, y = _butterflies(block, scratch[:block.size], range(c - half, c))
-        _transpose(x.reshape(matrix), y.reshape(turned))
-        x, y = _butterflies(y, x, range(half, c))
-        if x is block:  # an odd c: a transpose cannot write what it reads
-            np.copyto(y, x)
-            x, y = y, x
-        _transpose(x.reshape(turned), y.reshape(matrix))
+        x, _ = _butterflies(block, scratch[:block.size], range(done, c))
+        if x is not block:
+            np.copyto(block, x)
     rows = cells.reshape(-1, size)
     for k in range(max(c, done), bits, c):
         g = min(c, bits - k)
@@ -300,8 +267,11 @@ def walsh_hadamard(counts: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _hadamard(b: int, dtype: np.dtype) -> np.ndarray:
-    """Read-only 2^b x 2^b Hadamard matrix: row lo is the WHT of unit lo."""
-    h = _wht_in_place(np.eye(1 << b, dtype=dtype))
+    """Read-only 2^b x 2^b Hadamard matrix: row lo is the WHT of unit lo.
+    H_b is symmetric, so it is also the identity transformed down its
+    columns: butterflies on whole rows of 2^b cells."""
+    eye = np.eye(1 << b, dtype=dtype)
+    h, _ = _butterflies(eye, np.empty_like(eye), range(b))
     h.flags.writeable = False
     return h
 
@@ -341,12 +311,12 @@ def _rows_from_runs(d: BinaryDesign, b: int) -> np.ndarray:
 def _subset_j(d: BinaryDesign) -> np.ndarray:
     """j of every column subset, as the WHT of the negation masks'
     histogram: one buffer of 2^factors cells, and one WHT block.  Its
-    low b bits are a gather of Hadamard rows; a Z4 code's design has
-    b = 2p (capped at half a block), one run per row, as the Gray bits
-    of its identity columns take every value."""
-    b = min(d.factors - (max(d.runs, 1).bit_length() - 1),
-            _WHT_BLOCK_BITS // 2)
-    b = b if b >= _GATHER_MIN_BITS else 0
+    low b = factors - floor(log2 runs) bits (capped at half a block, and
+    0 from 2^factors runs up) are a gather of Hadamard rows; a Z4 code's
+    design has b = 2p, one run per row, as the Gray bits of its identity
+    columns take every value."""
+    b = max(0, min(d.factors - (max(d.runs, 1).bit_length() - 1),
+                   _WHT_BLOCK_BITS // 2))
     return _wht_in_place(_rows_from_runs(d, b), b)
 
 

@@ -125,10 +125,6 @@ def _evaluation(terms: np.ndarray, p: int) -> TheoryEvaluation:
                             tuple((terms[4 ** p - 1:] @ dot).tolist()))
 
 
-def parity_class_sums(f: FrequencyVector) -> dict[tuple[int, ...], int]:
-    return dict(zip(parity_classes(f.p), evaluate(f).a_values))
-
-
 def precondition_sums(f: FrequencyVector) -> dict[tuple[int, ...], int]:
     """Frequency mass on each of the three mixed parity patterns."""
     if f.p != 3:
@@ -440,16 +436,13 @@ def periodic_extend(f0: FrequencyVector, t: int) -> PeriodicFamily:
 
 
 def fixed_point_7(x: Fraction) -> str:
-    """Render with exactly 7 decimals, ties to even."""
-    scaled = x * 10 ** 7
+    """Render with exactly 7 decimals, ties to even: the sign, then the
+    rounded magnitude (floor division would round a negative x down)."""
+    scaled = abs(x) * 10 ** 7
     q, r = divmod(scaled.numerator, scaled.denominator)
     if 2 * r > scaled.denominator or (2 * r == scaled.denominator and q % 2):
         q += 1
-    return f"{q // 10 ** 7}.{q % 10 ** 7:07d}"
-
-
-def candidate_count(n: int, p: int) -> int:
-    return comb(n + 4 ** p - 2, 4 ** p - 2)
+    return f"{'-' if x < 0 else ''}{q // 10 ** 7}.{q % 10 ** 7:07d}"
 
 
 @functools.cache

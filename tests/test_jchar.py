@@ -392,12 +392,12 @@ def _gathered_bits(monkeypatch, d):
     return j, done[-1]
 
 
-@pytest.mark.parametrize("p, b", [(1, 0), (2, 0), (3, 6), (4, 8), (5, 8)])
+@pytest.mark.parametrize("p, b", [(1, 2), (2, 4), (3, 6), (4, 8), (5, 8)])
 def test_subset_j_gathers_hadamard_rows_of_a_code_design(monkeypatch, rng,
                                                          p, b):
-    """b = 2p low bits come from the gather from p = 3 on (rows of 2^6
-    cells), capped at 8 (p = 5 leaves rows that no run hits); p = 1 and
-    2 keep the histogram (b = 0)."""
+    """b = 2p low bits come from the gather at every p, down to rows of
+    2^2 cells at p = 1, capped at 8 (p = 5 leaves rows that no run
+    hits)."""
     for n in range(1, 9 - p):
         d = build_design(random_generator(rng, n, p))
         want = _subset_j_reference(d)
@@ -407,12 +407,13 @@ def test_subset_j_gathers_hadamard_rows_of_a_code_design(monkeypatch, rng,
 
 
 @pytest.mark.parametrize("runs, factors", [(1, 3), (1, 9), (13, 7), (13, 10),
-                                           (150, 12), (150, 18)])
+                                           (70, 5), (150, 12), (150, 18)])
 def test_subset_j_sums_the_rows_of_repeated_runs(monkeypatch, rng, runs,
                                                  factors):
     """Random designs with repeated runs: a run count that is no power of
     2 puts several runs in a row, and copies put one mask in a row
-    several times; (150, 18) spans two WHT blocks."""
+    several times; (70, 5) has more runs than cells, so b clamps at 0;
+    (150, 18) spans two WHT blocks."""
     base = rng.choice([-1, 1], size=(max(1, runs // 3), factors))
     d = BinaryDesign(runs, factors,
                      np.vstack([base] * 4)[:runs].astype(np.int8))
@@ -420,7 +421,7 @@ def test_subset_j_sums_the_rows_of_repeated_runs(monkeypatch, rng, runs,
     got, done = _gathered_bits(monkeypatch, d)
     assert got.dtype == want.dtype and (got == want).all()
     low = factors - (runs.bit_length() - 1)
-    assert done == (min(low, 8) if low >= 5 else 0)
+    assert done == max(0, min(low, 8))
 
 
 @pytest.mark.parametrize("factors", [3, 5, 7, 9])
@@ -434,19 +435,17 @@ def test_spectrum_of_a_design_with_no_runs_is_empty(factors):
 
 @pytest.mark.parametrize("block_bits", [1, 2, 3])
 def test_subset_j_at_every_block_split(monkeypatch, rng, block_bits):
-    """Blocks of 2^1..2^3 cells leave b = 0, the histogram; with the
-    gather let down to 1 bit too, it runs in chunks of a few runs."""
+    """Blocks of 2^1..2^3 cells cap the gather at b = 0 (the histogram)
+    or at 1 bit, and make it run in chunks of a few runs."""
     monkeypatch.setattr(jchar, "_WHT_BLOCK_BITS", block_bits)
     designs = [build_design(random_generator(rng, n, p))
                for p, n in ((1, 2), (2, 2), (3, 1))]
     base = rng.choice([-1, 1], size=(5, 9)).astype(np.int8)
     designs.append(BinaryDesign(13, 9, np.vstack([base, base, base[:3]])))
-    for gather_bits in (5, 1):
-        monkeypatch.setattr(jchar, "_GATHER_MIN_BITS", gather_bits)
-        for d in designs:
-            want = _subset_j_reference(d)
-            got = _subset_j(d)
-            assert got.dtype == want.dtype and (got == want).all()
+    for d in designs:
+        want = _subset_j_reference(d)
+        got = _subset_j(d)
+        assert got.dtype == want.dtype and (got == want).all()
 
 
 @pytest.mark.parametrize("block_bits", [1, 2, 3, 17])

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -23,11 +24,10 @@ from conftest import (MIXED_PARITIES, miscount_scan, random_generator,
                       random_precondition_generator)
 from qcode import (FrequencyVector, GeneratorSpec, PreconditionError,
                    SpectrumMismatch, aliasing_exponent, analyze, build_design,
-                   candidate_count, class_rhos, evaluate, fixed_point_7,
-                   frequency_vector, generator_for_frequency,
-                   parity_class_sums, periodic_extend, precondition_sums,
-                   preconditions_met, search, spectrum_bruteforce,
-                   summarize, theory_spectrum)
+                   class_rhos, evaluate, fixed_point_7, frequency_vector,
+                   generator_for_frequency, parity_classes, periodic_extend,
+                   precondition_sums, preconditions_met, search,
+                   spectrum_bruteforce, summarize, theory_spectrum)
 from qcode.equations import MAX_P, build_system, canonical_wordtypes, cells
 from qcode.theory import (WORK_BUDGET, _best_frequencies, _cell_sum,
                           _cell_terms, _distinct_rows, _dual_keys,
@@ -109,7 +109,7 @@ def test_evaluate_refuses_n_past_the_int64_bound():
 
 
 def test_parity_class_sums(f256, design256):
-    sums = parity_class_sums(f256)
+    sums = dict(zip(parity_classes(3), evaluate(f256).a_values))
     assert [sums[pi] for pi in sorted(sums, key=lambda x: (sum(x), x))] \
         == design256[1]["A"]
 
@@ -645,9 +645,39 @@ def test_fixed_point_7_rounding():
     assert fixed_point_7(Fraction(3, 2 * 10 ** 7)) == "0.0000002"
 
 
+_TIES = st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9),
+                  st.just(2 * 10 ** 7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(Fraction, st.integers(-10 ** 15, 10 ** 15),
+                 st.integers(1, 10 ** 12)) | _TIES)
+@example(Fraction(-1, 2))
+@example(Fraction(-1, 3))
+@example(Fraction(-3, 2 * 10 ** 7))
+@example(Fraction(-1, 3 * 10 ** 8))
+def test_fixed_point_7_matches_decimal(x):
+    """Both signs, ties included, against Decimal quantized to 1e-7
+    half-even."""
+    with localcontext() as ctx:
+        ctx.prec = 200
+        q = (Decimal(x.numerator) / Decimal(x.denominator)).quantize(
+            Decimal("1e-7"), rounding=ROUND_HALF_EVEN)
+    assert fixed_point_7(x) == format(q, "f")
+
+
+def _candidate_count(n, p):
+    """Multisets of n nonzero cells of Z4^p: the F that search ranks."""
+    return comb(n + 4 ** p - 2, 4 ** p - 2)
+
+
 def test_candidate_count():
-    assert candidate_count(1, 1) == 3
-    assert candidate_count(4, 3) == 720720
+    assert _candidate_count(1, 1) == 3
+    assert _candidate_count(4, 3) == 720720
+    for n, p in ((3, 1), (2, 2), (1, 3)):
+        nonzero = range(4 ** p - 1)
+        assert _candidate_count(n, p) == sum(
+            1 for _ in itertools.combinations_with_replacement(nonzero, n))
 
 
 def test_search_tiny_exhaustive():
@@ -947,7 +977,7 @@ def test_orbit_counts_p3(n, orbits):
     reps = _orbit_representatives(n, 3)
     assert len(reps) == orbits
     assert sum(len(_orbit_frequencies(m, 3)) for m in reps) \
-        == candidate_count(n, 3)
+        == _candidate_count(n, 3)
 
 
 def _burnside_orbits(n, p):
@@ -1022,7 +1052,7 @@ def test_count_rows_hold_a_count_of_n(n):
     n = 128, nor its radix n + 1 at n = 127."""
     f1, f2 = np.triu_indices(n + 1)
     fmat = np.stack([0 * f1, f1, f2 - f1, n - f2], axis=1)
-    assert len(fmat) == candidate_count(n, 1)
+    assert len(fmat) == _candidate_count(n, 1)
     reps = _orbit_representatives(n, 1)
     assert sorted(map(tuple, reps.tolist())) \
         == [(a, n - a) for a in range(n + 1)]
