@@ -11,7 +11,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
 from math import comb, lcm
 from operator import itemgetter
 
@@ -36,10 +36,10 @@ _SUBSET_VISIT_STEPS = 45
 #: largest factor count handled by the full Walsh-Hadamard transform
 _WHT_MAX_FACTORS = 24
 
-#: log2 of the cells in one block of the WHT: a block of 2^17 int32
-#: cells and the one scratch block (512 KiB each) fit together in a
-#: core's 2 MiB L2 cache, so the butterflies on a block's low bits, and
-#: on a strip of the high bits, read and write cached rows
+#: log2 of the cells in one block of the WHT: a block of 2^17 cells and
+#: the scratch block (512 KiB each as int32), or a strip and its wide
+#: int32 pair, fit in a core's 2 MiB L2 cache, so the butterflies on a
+#: block's low bits, and on a strip of the high bits, use cached rows
 _WHT_BLOCK_BITS = 17
 
 #: runs per block of `negation_masks`
@@ -210,58 +210,72 @@ def _butterflies(x: np.ndarray, y: np.ndarray, bits) -> tuple[np.ndarray,
     and difference, written to `y` in the pair's own places, and the two
     buffers swap.  The pairs of bit k are whole rows of 2^k cells (times
     the rest of a row), so every add reads and writes contiguous rows.
-    Returns (result, the other buffer)."""
+    On a 1-D `x`, a stage on rows under 2^4 cells runs across the rows
+    instead, one long strided loop per ufunc.  Returns (result, other)."""
     for k in bits:
         xv = x.reshape(-1, 2, 1 << k, *x.shape[1:])
         yv = y.reshape(xv.shape)
+        if x.ndim == 1 and k < 4:  # from 2^4 cells up, rows are faster
+            xv, yv = xv.T, yv.T
         first, second = xv[:, 0], xv[:, 1]
-        np.add(first, second, out=yv[:, 0])
-        np.subtract(first, second, out=yv[:, 1])
+        np.add(first, second, out=yv[:, 0], order="C")
+        np.subtract(first, second, out=yv[:, 1], order="C")
         x, y = y, x
     return x, y
 
 
-def _wht_in_place(a: np.ndarray, done: int = 0) -> np.ndarray:
-    """WHT of `a` along its last axis (leading axes are a batch), in place
-    in `a` plus one scratch block; entry S of the result is j of column
-    subset S.  Bits below `done` count as transformed already.
+def _strip_grid(a: np.ndarray) -> np.ndarray:
+    """(row, strip, 2^g, w) view of `a`'s rows as (2^g, 2^c) matrices, c =
+    min(bits, `_WHT_BLOCK_BITS`), cut in strips of w = 2^max(0, c-g)."""
+    bits = a.shape[-1].bit_length() - 1
+    g = max(0, bits - _WHT_BLOCK_BITS)
+    w = 1 << max(0, bits - 2 * g)
+    return a.reshape(-1, 1 << g, (1 << (bits - g)) // w, w).swapaxes(1, 2)
 
-    Cache-blocked, in natural order throughout: each block of 2^c cells
-    (c = `_WHT_BLOCK_BITS`, or fewer on a shorter axis) takes its low
-    bits done..c-1 while it is cached, as butterflies on rows of 2^done
-    cells and up, in place.  The high bits then go one column strip of
-    the (2^(f-c), 2^c) view at a time, at most c bits per pass, with the
-    same scratch."""
-    size = a.shape[-1]
-    bits = size.bit_length() - 1
-    if bits <= done:
-        return a
+
+def _finished_strips(a: np.ndarray, done: int, wide: np.dtype):
+    """WHT of `a` along its last axis, yielded one finished `_strip_grid`
+    strip at a time as ((row, strip), cells), in a buffer the next one
+    reuses; bits below `done` count as done.  Each 2^c-cell block takes
+    bits done..c-1 while cached, in place; its cells then hold at most
+    its runs, so `a` may be narrower than the final dtype `wide`.  The
+    high bits go in one pass, strip by strip: in place when `a` is
+    `wide`, else in a wide pair that the strip is copied into."""
+    bits = a.shape[-1].bit_length() - 1
     c = min(bits, _WHT_BLOCK_BITS)
-    cells = a.reshape(-1)
-    scratch = np.empty(min(cells.size, 1 << _WHT_BLOCK_BITS), dtype=a.dtype)
-    for lo in range(0, cells.size, len(scratch)):
-        block = cells[lo:lo + len(scratch)]
+    cells, grid = a.reshape(-1), _strip_grid(a)
+    step, shape = min(cells.size, 1 << _WHT_BLOCK_BITS), grid.shape[2:]
+    scratch = np.empty(max(step, shape[0] * shape[1]), dtype=a.dtype)
+    for lo in range(0, cells.size, step):
+        block = cells[lo:lo + step]
         x, _ = _butterflies(block, scratch[:block.size], range(done, c))
         if x is not block:
             np.copyto(block, x)
-    rows = cells.reshape(-1, size)
-    for k in range(max(c, done), bits, c):
-        g = min(c, bits - k)
-        # (row, strip, 2^g rows of the strip, its 2^(c-g) columns)
-        strips = rows.reshape(-1, 1 << g, (1 << k) >> (c - g),
-                              1 << (c - g)).swapaxes(1, 2)
-        pair = scratch.reshape(1 << g, -1)
-        for strip in (s for row in strips for s in row):
-            x, _ = _butterflies(strip, pair, range(g))
-            if x is pair:
-                np.copyto(strip, pair)
-    return cells.reshape(a.shape)
+    copy, spare = ((None, scratch[:shape[0] * shape[1]].reshape(shape))
+                   if wide == a.dtype else np.empty((2, *shape), wide))
+    for at in product(*map(range, grid.shape[:2])):
+        strip = grid[at]
+        if copy is not None:
+            np.copyto(copy, strip)
+            strip = copy
+        x, _ = _butterflies(strip, spare, range(max(done, c) - c, bits - c))
+        yield at, x
+
+
+def _wht_in_place(a: np.ndarray, done: int = 0, wide=None) -> np.ndarray:
+    """WHT of `a` along its last axis (leading axes are a batch), in `a`,
+    or in a new array of a wider dtype `wide`; bits below `done` are done."""
+    out = a if wide is None or wide == a.dtype else np.empty(a.shape, wide)
+    grid = _strip_grid(out)
+    for at, x in _finished_strips(a, done, out.dtype):
+        if not np.may_share_memory(x, grid[at]):
+            np.copyto(grid[at], x)
+    return out
 
 
 def walsh_hadamard(counts: np.ndarray) -> np.ndarray:
     """WHT along the last axis (leading axes are a batch), in the input's
-    dtype, leaving the input alone; entry S of the result is j of column
-    subset S."""
+    dtype, leaving the input alone; entry S is j of column subset S."""
     return _wht_in_place(counts.copy())
 
 
@@ -276,21 +290,28 @@ def _hadamard(b: int, dtype: np.dtype) -> np.ndarray:
     return h
 
 
-def _rows_from_runs(d: BinaryDesign, b: int) -> np.ndarray:
-    """The negation masks' histogram, transformed on its low b bits, in
-    the narrowest integer type that holds +-runs.  In the (2^(f-b), 2^b)
-    view a run with mask hi * 2^b + lo adds row lo of H_b to row hi.
-    The count of runs per row comes first, and is the whole fill at
-    b = 0.  The indexes are freed before the buffer is made."""
-    dtype = np.min_scalar_type(-d.runs - 1)
+def _rows_from_runs(d: BinaryDesign) -> tuple[np.ndarray, int, np.dtype]:
+    """(buffer, b, wide): the masks' histogram transformed on its low b =
+    factors - floor(log2 runs) bits (capped at half a block, 0 from
+    2^factors runs up), and the narrowest type that holds +-runs.  In
+    the (2^(f-b), 2^b) view a run with mask hi * 2^b + lo adds row lo of
+    H_b to row hi; a Z4 code's design has b = 2p, one run per row.  The
+    buffer's type holds the most runs of one WHT block, which bound its
+    cells until the high bits; the runs per row are the fill at b = 0."""
+    wide = np.min_scalar_type(-d.runs - 1)
+    b = max(0, min(d.factors - (max(d.runs, 1).bit_length() - 1),
+                   _WHT_BLOCK_BITS // 2))
     hi = negation_masks(d)
     lo = np.empty(len(hi), dtype=np.uint8)  # no int64 temporary
     np.bitwise_and(hi, (1 << b) - 1, out=lo, casting="unsafe")
     np.right_shift(hi, b, out=hi)
-    hits = np.zeros(1 << (d.factors - b), dtype=dtype)
-    np.add.at(hits, hi, dtype.type(1))  # a Python 1 takes a slow cast
+    hits = np.zeros(1 << (d.factors - b), dtype=wide)
+    np.add.at(hits, hi, wide.type(1))  # a Python 1 takes a slow cast
+    blocks = hits.reshape(-1, 1 << (min(d.factors, _WHT_BLOCK_BITS) - b))
+    dtype = wide if len(blocks) == 1 else np.min_scalar_type(
+        -int(blocks.sum(1, dtype=wide).max()) - 1)
     if not b:
-        return hits
+        return hits.astype(dtype, copy=False), b, wide
     cell = np.zeros(len(hits), dtype=np.uint8)  # lo of a run in each row
     cell[hi] = lo
     several = hits[hi] > 1  # never in a code's design
@@ -305,19 +326,13 @@ def _rows_from_runs(d: BinaryDesign, b: int) -> np.ndarray:
     rows[hits != 1] = 0
     for at in range(0, len(hi), step):
         np.add.at(rows, hi[at:at + step], h_b[lo[at:at + step]])
-    return out
+    return out, b, wide
 
 
 def _subset_j(d: BinaryDesign) -> np.ndarray:
-    """j of every column subset, as the WHT of the negation masks'
-    histogram: one buffer of 2^factors cells, and one WHT block.  Its
-    low b = factors - floor(log2 runs) bits (capped at half a block, and
-    0 from 2^factors runs up) are a gather of Hadamard rows; a Z4 code's
-    design has b = 2p, one run per row, as the Gray bits of its identity
-    columns take every value."""
-    b = max(0, min(d.factors - (max(d.runs, 1).bit_length() - 1),
-                   _WHT_BLOCK_BITS // 2))
-    return _wht_in_place(_rows_from_runs(d, b), b)
+    """j of every column subset, in one buffer of 2^factors cells and a
+    WHT block, plus a wide copy when the buffer is narrower."""
+    return _wht_in_place(*_rows_from_runs(d))
 
 
 def _cell_keys(sizes: np.ndarray, j: np.ndarray, runs: int) -> np.ndarray:
@@ -343,19 +358,17 @@ def _scan_spectrum(tally: dict[int, int], runs: int) -> WordSpectrum:
 
 
 def _spectrum_wht(d: BinaryDesign, max_len: int) -> WordSpectrum:
-    """The spectrum from j of every subset, tallied one WHT block at a
-    time, so no 2^factors array of sizes or flags is made; a subset's
-    size is the popcount of its index."""
-    j = _subset_j(d)
-    block = min(j.size, 1 << _WHT_BLOCK_BITS)
+    """The spectrum tallied one finished strip at a time, with no
+    2^factors array of sizes or flags; a subset's size is the popcount of
+    its place in the strip plus that of the strip's number."""
     tally = Counter()
-    for lo in range(0, j.size, block):
+    for (_, s), x in _finished_strips(*_rows_from_runs(d)):
         # nonzero runs several times faster on flags than on ints
-        words = np.flatnonzero(j[lo:lo + block] != 0) + lo
-        sizes = _popcount(words)
+        words = np.flatnonzero(x != 0)
+        sizes = _popcount(words) + s.bit_count()
         keep = (sizes >= 3) & (sizes <= max_len)
-        keys, n = np.unique(_cell_keys(sizes[keep], j[words[keep]], d.runs),
-                            return_counts=True)
+        keys, n = np.unique(_cell_keys(sizes[keep], x.ravel()[words[keep]],
+                                       d.runs), return_counts=True)
         tally.update(dict(zip(keys.tolist(), n.tolist())))
     return _scan_spectrum(tally, d.runs)
 

@@ -21,8 +21,11 @@ ints, before they became uint8 arrays rendered as bytes.  The three
 `analyze` ones of a design file (`{design}`, the `construct` output
 of design_256x14, and `{design_crlf}`, the same text with CRLF line
 ends) and the `construct --output` file one were recorded while design
-text was still written and read one cell at a time.  Any refactor that
-keeps the outputs keeps them.
+text was still written and read one cell at a time.  The `{gen22}` one
+(design_256x14's generator with four more rows: p = 3, n = 8, 65,536
+runs by 22 factors, with rho = 1 words) was recorded while the WHT
+buffer's type still came from the total run count (int32 there).  Any
+refactor that keeps the outputs keeps them.
 To re-record after an intended output change, run
 `python tests/test_cli_corpus.py` and paste what it prints.
 """
@@ -49,6 +52,7 @@ CORPUS = (
     ("analyze", "--input", "{gen}", "--method", "theory", "--max-length", 8,
      "--format", "text"),
     ("analyze", "--input", "{gen}", "--method", "both", "--max-length", 8),
+    ("analyze", "--input", "{gen22}", "--method", "both"),
     ("construct", "--input", "{gen}"),
     *(("analyze", "--input", "{design}", "--method", "bruteforce",
        "--format", fmt) for fmt in ("json", "text")),
@@ -99,6 +103,8 @@ DIGESTS = {
         "0a4757458cda8e5375b1dbf35d0cd54ed750dc8a70a7847ac36baeb3ba0c33fb",
     "analyze --input {gen} --method both --max-length 8":
         "102276e771ab9191a6d92b9b1729aa3ebd8d57eb0c7e8679738d06b9b744550e",
+    "analyze --input {gen22} --method both":
+        "b1b68814c04a8314c461a3ba2db357acc2221a92dbec3815c7b363458c67c2ac",
     "construct --input {gen}":
         "bdaeee7413e878b3afaf7a6fe48a4d46afe65781e161106449269b7718195179",
     "analyze --input {design} --method bruteforce --format json":
@@ -145,6 +151,9 @@ def write_inputs(folder: Path) -> dict:
     d4 = load_examples()["design_256x14"]
     gen, freq = folder / "gen.json", folder / "freq.json"
     gen.write_text(json.dumps({"n": len(d4["V"]), "p": 3, "V": d4["V"]}))
+    gen22 = folder / "gen22.json"
+    v22 = d4["V"] + [[2, 3, 1], [3, 1, 2], [3, 2, 3], [1, 1, 3]]
+    gen22.write_text(json.dumps({"n": len(v22), "p": 3, "V": v22}))
     counts = [0] * 64
     for c in d4["F_one_cells"]:
         counts[c] = 1
@@ -154,7 +163,8 @@ def write_inputs(folder: Path) -> dict:
     text = design_to_text(build_design(g))
     design.write_bytes(text.encode())
     crlf.write_bytes(text.replace("\n", "\r\n").encode())
-    return {"gen": str(gen), "freq": str(freq), "design": str(design),
+    return {"gen": str(gen), "gen22": str(gen22), "freq": str(freq),
+            "design": str(design),
             "design_crlf": str(crlf), "out": str(folder / "out")}
 
 

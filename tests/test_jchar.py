@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from conftest import random_generator
 from qcode import (BinaryDesign, BudgetExceeded, GeneratorSpec,
-                   WordSpectrum, aliasing_index, build_design,
+                   WordSpectrum, aliasing_index, analyze, build_design,
                    duplicated_column_pairs, j_characteristic,
-                   spectrum_bruteforce, summarize)
+                   load_examples, spectrum_bruteforce, summarize)
 from qcode import jchar
 from qcode.jchar import (_cell_keys, _popcount, _spectrum_dfs, _spectrum_wht,
                          _subset_j, _wht_in_place,
@@ -355,20 +355,6 @@ def test_scan_spectra_leave_in_canonical_order(monkeypatch, rng):
     assert seen and all(seen)
 
 
-def test_subset_j_transforms_in_one_buffer_and_a_block(rng):
-    # the histogram is the transform's one buffer, plus a scratch block
-    # of 2^17 cells (1/8 of it here); a second buffer would double it
-    d = BinaryDesign(64, 20, rng.choice([-1, 1], size=(64, 20)).astype(np.int8))
-    tracemalloc.start()
-    try:
-        j = _subset_j(d)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert j.size == 1 << 20
-    assert peak < 1.25 * j.nbytes
-
-
 def _subset_j_reference(d):
     """The mask histogram, each distinct mask once with its count, then
     the unblocked two-buffer transform."""
@@ -382,9 +368,9 @@ def _gathered_bits(monkeypatch, d):
     """`_subset_j(d)` and the low bits it handed the kernel as done."""
     done, kernel = [], jchar._wht_in_place
 
-    def spy(a, bits=0):
+    def spy(a, bits=0, *wide):
         done.append(bits)
-        return kernel(a, bits)
+        return kernel(a, bits, *wide)
 
     monkeypatch.setattr(jchar, "_wht_in_place", spy)
     j = _subset_j(d)
@@ -465,19 +451,87 @@ def test_wht_skips_the_bits_already_done(monkeypatch, rng, block_bits):
                     factors, done)
 
 
-def test_subset_j_gathers_in_one_buffer_and_a_block(rng):
-    # the gather fills the transform's one buffer straight from the
-    # Hadamard rows, with its indexes freed before the buffer is made
-    d = build_design(random_generator(rng, 7, 3))
-    assert d.factors == 20
+def _traced_peak(call):
+    """`call()` and the peak of the memory traced while it ran."""
     tracemalloc.start()
     try:
-        j = _subset_j(d)
+        got = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return got, peak
+
+
+@pytest.mark.parametrize("kind", ["random", "code"])
+def test_subset_j_transforms_in_one_buffer_and_a_block(rng, kind):
+    """A random 64-run design and a p = 3 code's design: the gather fills
+    the transform's one buffer straight from the Hadamard rows (b = 8
+    and 6), with its indexes freed before the buffer is made, plus a
+    scratch block of 2^17 cells (1/8 of it here); a second buffer would
+    double it.  Both buffers already hold +-runs (int8 and int16), so
+    there is no wide copy."""
+    if kind == "code":
+        d = build_design(random_generator(rng, 7, 3))
+    else:
+        d = BinaryDesign(64, 20, rng.choice([-1, 1], size=(64, 20)).astype(
+            np.int8))
+    assert d.factors == 20
+    j, peak = _traced_peak(lambda: _subset_j(d))
     assert j.size == 1 << 20
     assert peak < 1.25 * j.nbytes
+
+
+def _generator_22():
+    """A p = 3, n = 8 generator: 65,536 runs by 22 factors, with words of
+    rho = 1 (|j| = runs, past int16)."""
+    v = load_examples()["design_256x14"]["V"] + [[2, 3, 1], [3, 1, 2],
+                                                [3, 2, 3], [1, 1, 3]]
+    return GeneratorSpec(8, 3, tuple(map(tuple, v)))
+
+
+def test_spectrum_of_22_factors_tallies_strips_of_a_narrow_buffer():
+    """The runs of one 2^17-cell block (2,048 here) fit int16, so the
+    22-factor buffer is int16 and the high bits are finished in int32
+    strips, tallied as they finish: the traced peak stays near the int16
+    buffer (an int32 one is 16 MiB), and the rho = 1 words, whose j =
+    +-65,536 no int16 holds, are counted, as the closed form has them."""
+    g = _generator_22()
+    d = build_design(g)
+    buf, b, wide = jchar._rows_from_runs(d)
+    assert (buf.dtype, b, wide) == (np.int16, 6, np.int32)
+    del buf
+    spec, peak = _traced_peak(lambda: _spectrum_wht(d, d.factors))
+    assert peak < 1.25 * (1 << 22) * 2
+    assert (10, Fraction(1), 1) in spec.entries
+    assert spec == analyze(g, method="theory").spectrum
+
+
+@pytest.mark.parametrize("block_bits", [3, 4, 5])
+def test_narrow_buffer_when_no_block_holds_more_than_127_runs(
+        monkeypatch, rng, block_bits):
+    """Over 127 runs, but at most 127 in any one WHT block: the buffer is
+    int8, the strips are finished in int16, and j and the spectrum match
+    the references; a code's design, random runs, and more runs than
+    cells (the histogram fill, b = 0).  When every run shares one block,
+    the buffer keeps the wide type."""
+    monkeypatch.setattr(jchar, "_WHT_BLOCK_BITS", block_bits)
+    one_block = rng.choice([-1, 1], (200, 9)).astype(np.int8)
+    one_block[:, block_bits:] = 1  # every mask below 2^block_bits
+    for d, narrow in (
+            (build_design(random_generator(rng, 4, 1)), np.int8),
+            (BinaryDesign(200, 9, rng.choice([-1, 1], (200, 9)).astype(
+                np.int8)), np.int8),
+            (BinaryDesign(200, 6, rng.choice([-1, 1], (200, 6)).astype(
+                np.int8)), np.int8),
+            (BinaryDesign(200, 9, one_block), np.int16)):
+        buf, b, wide = jchar._rows_from_runs(d)
+        assert (buf.dtype, wide) == (narrow, np.int16)
+        strips = [x.dtype for _, x in jchar._finished_strips(buf, b, wide)]
+        assert set(strips) == {np.dtype(np.int16)}
+        want = _subset_j_reference(d)
+        got = _subset_j(d)
+        assert got.dtype == want.dtype == np.int16 and (got == want).all()
+        assert _spectrum_wht(d, d.factors) == _spectrum_dfs(d, d.factors)
 
 
 _RHOS = st.integers(1, 30).flatmap(
