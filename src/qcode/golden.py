@@ -21,7 +21,7 @@ from .equations import (all_odd_closed_form, build_system, ca_add,
 from .theory import analyze, evaluate, fixed_point_7, periodic_extend
 # after .theory, which imports jchar itself: compiling jchar first, without
 # cached bytecode, leaves about 0.3 MiB more resident after the import
-from .jchar import _subset_j
+from .jchar import _column_gram
 from .z4 import (GeneratorSpec, build_design, cell_digits,
                  frequency_vector)
 
@@ -120,15 +120,13 @@ def _expect(diffs: list[str], label: str, got, want) -> None:
 
 
 def _short_gwlp(g: GeneratorSpec) -> list[Fraction]:
-    """A_1 and A_2 of the design of `g`, which no report covers, from the
-    oracle's j of every subset: A_k = sum over the k-subsets S of
-    (j_S / runs)^2."""
+    """A_1 and A_2 of the design of `g`, which no report covers: A_k =
+    sum over the k-subsets S of (j_S / runs)^2, with j of one column its
+    sum and j of a pair its cell of the columns' Gram matrix."""
     d = build_design(g)
-    j = _subset_j(d)
-    one = 1 << np.arange(d.factors)
-    pairs = (one[:, None] | one)[np.triu_indices(d.factors, 1)]
-    return [Fraction(int((j[s].astype(np.int64) ** 2).sum()), d.runs ** 2)
-            for s in (one, pairs)]
+    one = d.cells.sum(axis=0, dtype=np.int64)
+    pairs = _column_gram(d)[np.triu_indices(d.factors, 1)]
+    return [Fraction(int((j ** 2).sum()), d.runs ** 2) for j in (one, pairs)]
 
 
 def verify_examples() -> list[str]:

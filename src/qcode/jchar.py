@@ -11,7 +11,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import groupby
 from math import comb, lcm
 from operator import itemgetter
 
@@ -42,7 +42,7 @@ _WHT_MAX_FACTORS = 24
 #: block's low bits, and on a strip of the high bits, use cached rows
 _WHT_BLOCK_BITS = 17
 
-#: runs per block of `negation_masks`
+#: runs per block of `negation_masks` and `_column_gram`
 _MASK_RUNS = 1 << 16
 
 #: most factors an int64 negation mask holds
@@ -203,15 +203,15 @@ def negation_masks(d: BinaryDesign) -> np.ndarray:
     return masks.view("<i8")[:, 0]
 
 
-def _butterflies(x: np.ndarray, y: np.ndarray, bits) -> tuple[np.ndarray,
-                                                               np.ndarray]:
+def _butterflies(x: np.ndarray, y: np.ndarray, bits) -> np.ndarray:
     """Radix-2 butterflies on each of `bits` of the index along axis 0 of
     `x` in turn: the pair of cells that differ only in bit k gets its sum
     and difference, written to `y` in the pair's own places, and the two
     buffers swap.  The pairs of bit k are whole rows of 2^k cells (times
     the rest of a row), so every add reads and writes contiguous rows.
     On a 1-D `x`, a stage on rows under 2^4 cells runs across the rows
-    instead, one long strided loop per ufunc.  Returns (result, other)."""
+    instead, one long strided loop per ufunc.  Returns the buffer that
+    holds the result."""
     for k in bits:
         xv = x.reshape(-1, 2, 1 << k, *x.shape[1:])
         yv = y.reshape(xv.shape)
@@ -221,62 +221,53 @@ def _butterflies(x: np.ndarray, y: np.ndarray, bits) -> tuple[np.ndarray,
         np.add(first, second, out=yv[:, 0], order="C")
         np.subtract(first, second, out=yv[:, 1], order="C")
         x, y = y, x
-    return x, y
+    return x
 
 
 def _strip_grid(a: np.ndarray) -> np.ndarray:
-    """(row, strip, 2^g, w) view of `a`'s rows as (2^g, 2^c) matrices, c =
+    """(strip, 2^g, w) view of the 1-D `a` as a (2^g, 2^c) matrix, c =
     min(bits, `_WHT_BLOCK_BITS`), cut in strips of w = 2^max(0, c-g)."""
-    bits = a.shape[-1].bit_length() - 1
+    bits = a.size.bit_length() - 1
     g = max(0, bits - _WHT_BLOCK_BITS)
-    w = 1 << max(0, bits - 2 * g)
-    return a.reshape(-1, 1 << g, (1 << (bits - g)) // w, w).swapaxes(1, 2)
+    return a.reshape(1 << g, -1, 1 << max(0, bits - 2 * g)).swapaxes(0, 1)
 
 
 def _finished_strips(a: np.ndarray, done: int, wide: np.dtype):
-    """WHT of `a` along its last axis, yielded one finished `_strip_grid`
-    strip at a time as ((row, strip), cells), in a buffer the next one
-    reuses; bits below `done` count as done.  Each 2^c-cell block takes
-    bits done..c-1 while cached, in place; its cells then hold at most
-    its runs, so `a` may be narrower than the final dtype `wide`.  The
-    high bits go in one pass, strip by strip: in place when `a` is
-    `wide`, else in a wide pair that the strip is copied into."""
-    bits = a.shape[-1].bit_length() - 1
+    """WHT of the 1-D `a`, yielded one finished `_strip_grid` strip at a
+    time as (strip number, cells), in a buffer the next one reuses; bits
+    below `done` count as done.  Each 2^c-cell block takes bits
+    done..c-1 while cached, in place; its cells then hold at most its
+    runs, so `a` may be narrower than the final dtype `wide`.  The high
+    bits go in one pass, strip by strip: in place when `a` is `wide`,
+    else in a wide pair that the strip is copied into."""
+    bits = a.size.bit_length() - 1
     c = min(bits, _WHT_BLOCK_BITS)
-    cells, grid = a.reshape(-1), _strip_grid(a)
-    step, shape = min(cells.size, 1 << _WHT_BLOCK_BITS), grid.shape[2:]
+    grid = _strip_grid(a)
+    step, shape = min(a.size, 1 << _WHT_BLOCK_BITS), grid.shape[1:]
     scratch = np.empty(max(step, shape[0] * shape[1]), dtype=a.dtype)
-    for lo in range(0, cells.size, step):
-        block = cells[lo:lo + step]
-        x, _ = _butterflies(block, scratch[:block.size], range(done, c))
+    for lo in range(0, a.size, step):
+        block = a[lo:lo + step]
+        x = _butterflies(block, scratch[:block.size], range(done, c))
         if x is not block:
             np.copyto(block, x)
     copy, spare = ((None, scratch[:shape[0] * shape[1]].reshape(shape))
                    if wide == a.dtype else np.empty((2, *shape), wide))
-    for at in product(*map(range, grid.shape[:2])):
-        strip = grid[at]
+    for s, strip in enumerate(grid):
         if copy is not None:
             np.copyto(copy, strip)
             strip = copy
-        x, _ = _butterflies(strip, spare, range(max(done, c) - c, bits - c))
-        yield at, x
-
-
-def _wht_in_place(a: np.ndarray, done: int = 0, wide=None) -> np.ndarray:
-    """WHT of `a` along its last axis (leading axes are a batch), in `a`,
-    or in a new array of a wider dtype `wide`; bits below `done` are done."""
-    out = a if wide is None or wide == a.dtype else np.empty(a.shape, wide)
-    grid = _strip_grid(out)
-    for at, x in _finished_strips(a, done, out.dtype):
-        if not np.may_share_memory(x, grid[at]):
-            np.copyto(grid[at], x)
-    return out
+        yield s, _butterflies(strip, spare, range(max(done, c) - c, bits - c))
 
 
 def walsh_hadamard(counts: np.ndarray) -> np.ndarray:
     """WHT along the last axis (leading axes are a batch), in the input's
     dtype, leaving the input alone; entry S is j of column subset S."""
-    return _wht_in_place(counts.copy())
+    out = counts.copy()
+    for row in out.reshape(-1, out.shape[-1]):
+        grid = _strip_grid(row)
+        for s, x in _finished_strips(row, 0, row.dtype):
+            grid[s] = x
+    return out
 
 
 @functools.cache
@@ -285,7 +276,7 @@ def _hadamard(b: int, dtype: np.dtype) -> np.ndarray:
     H_b is symmetric, so it is also the identity transformed down its
     columns: butterflies on whole rows of 2^b cells."""
     eye = np.eye(1 << b, dtype=dtype)
-    h, _ = _butterflies(eye, np.empty_like(eye), range(b))
+    h = _butterflies(eye, np.empty_like(eye), range(b))
     h.flags.writeable = False
     return h
 
@@ -329,12 +320,6 @@ def _rows_from_runs(d: BinaryDesign) -> tuple[np.ndarray, int, np.dtype]:
     return out, b, wide
 
 
-def _subset_j(d: BinaryDesign) -> np.ndarray:
-    """j of every column subset, in one buffer of 2^factors cells and a
-    WHT block, plus a wide copy when the buffer is narrower."""
-    return _wht_in_place(*_rows_from_runs(d))
-
-
 def _cell_keys(sizes: np.ndarray, j: np.ndarray, runs: int) -> np.ndarray:
     """int64 key size * (runs + 1) + runs - |j| of each (size, j) cell,
     j nonzero: ascending keys run in canonical order, by size, then
@@ -362,7 +347,7 @@ def _spectrum_wht(d: BinaryDesign, max_len: int) -> WordSpectrum:
     2^factors array of sizes or flags; a subset's size is the popcount of
     its place in the strip plus that of the strip's number."""
     tally = Counter()
-    for (_, s), x in _finished_strips(*_rows_from_runs(d)):
+    for s, x in _finished_strips(*_rows_from_runs(d)):
         # nonzero runs several times faster on flags than on ints
         words = np.flatnonzero(x != 0)
         sizes = _popcount(words) + s.bit_count()
@@ -412,12 +397,21 @@ def spectrum_bruteforce(d: BinaryDesign, max_len: int,
     return _spectrum_dfs(d, max_len)
 
 
+def _column_gram(d: BinaryDesign) -> np.ndarray:
+    """int64 j of every column pair: the Gram matrix of the columns,
+    summed 2^16 runs at a time, so the int64 copy of the cells stays
+    one block."""
+    gram = np.zeros((d.factors, d.factors), dtype=np.int64)
+    for lo in range(0, d.runs, _MASK_RUNS):
+        rows = d.cells[lo:lo + _MASK_RUNS].astype(np.int64)
+        gram += rows.T @ rows
+    return gram
+
+
 def duplicated_column_pairs(d: BinaryDesign) -> list[tuple[int, int, int]]:
-    """Fully aliased 1-based column pairs (i, j, sign); not part of any GWLP."""
-    out = []
-    for i in range(d.factors):
-        for j in range(i + 1, d.factors):
-            dot = int(d.cells[:, i].astype(np.int64) @ d.cells[:, j])
-            if abs(dot) == d.runs:
-                out.append((i + 1, j + 1, 1 if dot > 0 else -1))
-    return out
+    """Fully aliased 1-based column pairs (i, j, sign): the words of
+    length 2 with rho = 1, part of A_2, which the reports (from A_3 on)
+    leave out."""
+    gram = _column_gram(d)
+    pairs = np.argwhere(np.triu(np.abs(gram) == d.runs, 1)).tolist()
+    return [(i + 1, j + 1, 1 if gram[i, j] > 0 else -1) for i, j in pairs]

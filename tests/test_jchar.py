@@ -21,8 +21,8 @@ from qcode import (BinaryDesign, BudgetExceeded, GeneratorSpec,
                    duplicated_column_pairs, j_characteristic,
                    load_examples, spectrum_bruteforce, summarize)
 from qcode import jchar
-from qcode.jchar import (_cell_keys, _popcount, _spectrum_dfs, _spectrum_wht,
-                         _subset_j, _wht_in_place,
+from qcode.jchar import (_cell_keys, _column_gram, _finished_strips,
+                         _popcount, _spectrum_dfs, _spectrum_wht, _strip_grid,
                          negation_masks, scan_cost, walsh_hadamard)
 
 HALF = Fraction(1, 2)
@@ -144,11 +144,32 @@ def test_word_spectrum_validation():
         WordSpectrum(((3, HALF, 1), (3, HALF, 2)))
 
 
-def test_duplicated_column_pairs():
+def test_duplicated_column_pairs(monkeypatch, rng):
     d = build_design(GeneratorSpec(1, 1, ((2,),)))
     assert duplicated_column_pairs(d) == [(1, 2, 1)]
     clean = build_design(GeneratorSpec(2, 1, ((1,), (1,))))
     assert duplicated_column_pairs(clean) == []
+    # one column the negative of another aliases them with sign -1
+    cells = np.asarray(clean.cells)
+    negated = BinaryDesign(clean.runs, 3, np.stack(
+        [cells[:, 0], cells[:, 1], -cells[:, 0]], axis=1))
+    assert duplicated_column_pairs(negated) == [(1, 3, -1)]
+    # random designs, the Gram matrix summed over blocks of 3 runs, against
+    # one J-characteristic per pair; a copied and a negated column give
+    # rho = 1 pairs, and a few runs make chance ones
+    monkeypatch.setattr(jchar, "_MASK_RUNS", 3)
+    for runs, factors in ((4, 6), (7, 8), (13, 9), (64, 7)):
+        cells = rng.choice([-1, 1], size=(runs, factors)).astype(np.int8)
+        cells[:, 3], cells[:, 5] = cells[:, 0], -cells[:, 1]
+        d = BinaryDesign(runs, factors, cells)
+        gram, want = _column_gram(d), []
+        for s in combinations(range(1, factors + 1), 2):
+            j = j_characteristic(d, s)
+            assert gram[s[0] - 1, s[1] - 1] == gram[s[1] - 1, s[0] - 1] == j
+            if abs(j) == runs:
+                want.append((*s, 1 if j > 0 else -1))
+        assert {(1, 4, 1), (2, 6, -1)} <= set(want)
+        assert duplicated_column_pairs(d) == want
 
 
 def test_walsh_hadamard_delta_and_involution(rng):
@@ -204,7 +225,7 @@ def test_blocked_wht_matches_the_two_buffer_transform(rng, dtype):
     for factors in range(23):
         counts = _histogram(rng, factors, dtype)
         want = _wht_reference(counts.copy())
-        got = _wht_in_place(counts.copy())
+        got = walsh_hadamard(counts)
         assert got.dtype == dtype and (got == want).all(), factors
         if factors:
             assert want[0] == np.iinfo(dtype).max == -want[-1]
@@ -213,17 +234,19 @@ def test_blocked_wht_matches_the_two_buffer_transform(rng, dtype):
 @pytest.mark.parametrize("block_bits", [1, 2, 3])
 def test_blocked_wht_at_every_block_split(monkeypatch, rng, block_bits):
     """Small blocks put every case in reach: fewer factors than block
-    bits, as many, up to twice as many, and more, where the high bits
-    take several passes; and a batch of rows, which shares the blocks
-    when the rows are short."""
+    bits, as many, up to twice as many, and more, where strips are
+    narrower than their height; and a batch, each row of which is
+    transformed on its own."""
     monkeypatch.setattr(jchar, "_WHT_BLOCK_BITS", block_bits)
     for factors in range(11):
         for dtype in (np.int8, np.int16, np.int32):
             counts = _histogram(rng, factors, dtype)
             want = _wht_reference(counts.copy())
-            assert (_wht_in_place(counts.copy()) == want).all(), factors
-        batch = rng.integers(-5, 5, (3, 1 << factors))
-        assert (_wht_in_place(batch.copy()) == _wht_reference(batch)).all()
+            assert (walsh_hadamard(counts) == want).all(), factors
+        batch = rng.integers(-5, 5, (3, 2, 1 << factors))
+        got = walsh_hadamard(batch)
+        assert got.shape == batch.shape
+        assert (got == _wht_reference(batch.copy())).all()
 
 
 def test_negation_masks_match_cells(d16x6):
@@ -277,7 +300,7 @@ def test_dfs_agrees_with_wht_on_repeated_runs_and_complete_words(rng):
     a, b, c = full.T
     complete = BinaryDesign(8, 6, np.stack(
         [a, b, c, a * b, -a * b * c, b * c], axis=1).astype(np.int8))
-    assert {abs(int(j)) for j in _subset_j(complete)} >= {8}
+    assert {abs(int(j)) for j in _subset_j_reference(complete)} >= {8}
     for d in (repeated, complete):
         for max_len in range(3, d.factors + 1):
             assert _spectrum_dfs(d, max_len) == _spectrum_wht(d, max_len)
@@ -364,38 +387,37 @@ def _subset_j_reference(d):
     return _wht_reference(counts)
 
 
-def _gathered_bits(monkeypatch, d):
-    """`_subset_j(d)` and the low bits it handed the kernel as done."""
-    done, kernel = [], jchar._wht_in_place
+def _assert_strips(a, done, wide, want):
+    """Each strip `_finished_strips(a, done, wide)` yields is the strip of
+    `want` with its number, in `want`'s dtype, and every strip comes."""
+    grid, numbers = _strip_grid(want), []
+    for s, x in _finished_strips(a, done, wide):
+        assert x.dtype == want.dtype and (x == grid[s]).all(), s
+        numbers.append(s)
+    assert numbers == list(range(len(grid)))
 
-    def spy(a, bits=0, *wide):
-        done.append(bits)
-        return kernel(a, bits, *wide)
 
-    monkeypatch.setattr(jchar, "_wht_in_place", spy)
-    j = _subset_j(d)
-    monkeypatch.setattr(jchar, "_wht_in_place", kernel)
-    return j, done[-1]
+def _gathered_bits(d):
+    """The low bits b that `_rows_from_runs(d)` gathered, after checking
+    the strips finished from its buffer against the reference."""
+    buf, b, wide = jchar._rows_from_runs(d)
+    _assert_strips(buf, b, wide, _subset_j_reference(d))
+    return b
 
 
 @pytest.mark.parametrize("p, b", [(1, 2), (2, 4), (3, 6), (4, 8), (5, 8)])
-def test_subset_j_gathers_hadamard_rows_of_a_code_design(monkeypatch, rng,
-                                                         p, b):
+def test_subset_j_gathers_hadamard_rows_of_a_code_design(rng, p, b):
     """b = 2p low bits come from the gather at every p, down to rows of
     2^2 cells at p = 1, capped at 8 (p = 5 leaves rows that no run
     hits)."""
     for n in range(1, 9 - p):
         d = build_design(random_generator(rng, n, p))
-        want = _subset_j_reference(d)
-        got, done = _gathered_bits(monkeypatch, d)
-        assert got.dtype == want.dtype and (got == want).all(), (p, n)
-        assert done == b
+        assert _gathered_bits(d) == b, (p, n)
 
 
 @pytest.mark.parametrize("runs, factors", [(1, 3), (1, 9), (13, 7), (13, 10),
                                            (70, 5), (150, 12), (150, 18)])
-def test_subset_j_sums_the_rows_of_repeated_runs(monkeypatch, rng, runs,
-                                                 factors):
+def test_subset_j_sums_the_rows_of_repeated_runs(rng, runs, factors):
     """Random designs with repeated runs: a run count that is no power of
     2 puts several runs in a row, and copies put one mask in a row
     several times; (70, 5) has more runs than cells, so b clamps at 0;
@@ -403,11 +425,8 @@ def test_subset_j_sums_the_rows_of_repeated_runs(monkeypatch, rng, runs,
     base = rng.choice([-1, 1], size=(max(1, runs // 3), factors))
     d = BinaryDesign(runs, factors,
                      np.vstack([base] * 4)[:runs].astype(np.int8))
-    want = _subset_j_reference(d)
-    got, done = _gathered_bits(monkeypatch, d)
-    assert got.dtype == want.dtype and (got == want).all()
     low = factors - (runs.bit_length() - 1)
-    assert done == max(0, min(low, 8))
+    assert _gathered_bits(d) == max(0, min(low, 8))
 
 
 @pytest.mark.parametrize("factors", [3, 5, 7, 9])
@@ -415,7 +434,8 @@ def test_spectrum_of_a_design_with_no_runs_is_empty(factors):
     """No runs: the gather's row bits stay within the factors, and every
     j is 0."""
     d = BinaryDesign(0, factors, np.zeros((0, factors), dtype=np.int8))
-    assert (_subset_j(d) == 0).all()
+    assert not _subset_j_reference(d).any()
+    _gathered_bits(d)
     assert spectrum_bruteforce(d, 3).entries == ()
 
 
@@ -429,26 +449,20 @@ def test_subset_j_at_every_block_split(monkeypatch, rng, block_bits):
     base = rng.choice([-1, 1], size=(5, 9)).astype(np.int8)
     designs.append(BinaryDesign(13, 9, np.vstack([base, base, base[:3]])))
     for d in designs:
-        want = _subset_j_reference(d)
-        got = _subset_j(d)
-        assert got.dtype == want.dtype and (got == want).all()
+        _gathered_bits(d)
 
 
 @pytest.mark.parametrize("block_bits", [1, 2, 3, 17])
 def test_wht_skips_the_bits_already_done(monkeypatch, rng, block_bits):
     """Input transformed on its low `done` bits only, by the reference
-    on rows of 2^done cells: the kernel's remaining bits give the whole
-    transform, for one axis and a batch."""
+    on rows of 2^done cells: the strips' remaining bits give the whole
+    transform."""
     monkeypatch.setattr(jchar, "_WHT_BLOCK_BITS", block_bits)
     for factors in range(11):
         for done in range(factors + 1):
-            a = rng.integers(-5, 5, (3, 1 << factors))
-            low = _wht_reference(a.reshape(3, -1, 1 << done).copy())
-            want = _wht_reference(a.copy())
-            low = low.reshape(a.shape)
-            for x, w in ((low, want), (low[0], want[0])):
-                assert (_wht_in_place(x.copy(), done) == w).all(), (
-                    factors, done)
+            a = rng.integers(-5, 5, 1 << factors)
+            low = _wht_reference(a.reshape(-1, 1 << done).copy()).ravel()
+            _assert_strips(low, done, low.dtype, _wht_reference(a.copy()))
 
 
 def _traced_peak(call):
@@ -469,16 +483,24 @@ def test_subset_j_transforms_in_one_buffer_and_a_block(rng, kind):
     and 6), with its indexes freed before the buffer is made, plus a
     scratch block of 2^17 cells (1/8 of it here); a second buffer would
     double it.  Both buffers already hold +-runs (int8 and int16), so
-    there is no wide copy."""
+    the strips are finished in place."""
     if kind == "code":
         d = build_design(random_generator(rng, 7, 3))
     else:
         d = BinaryDesign(64, 20, rng.choice([-1, 1], size=(64, 20)).astype(
             np.int8))
     assert d.factors == 20
-    j, peak = _traced_peak(lambda: _subset_j(d))
-    assert j.size == 1 << 20
-    assert peak < 1.25 * j.nbytes
+
+    def transform():
+        buf, b, wide = jchar._rows_from_runs(d)
+        assert buf.dtype == wide
+        for _ in _finished_strips(buf, b, wide):
+            pass
+        return buf
+
+    buf, peak = _traced_peak(transform)
+    assert buf.size == 1 << 20
+    assert peak < 1.25 * buf.nbytes
 
 
 def _generator_22():
@@ -526,11 +548,9 @@ def test_narrow_buffer_when_no_block_holds_more_than_127_runs(
             (BinaryDesign(200, 9, one_block), np.int16)):
         buf, b, wide = jchar._rows_from_runs(d)
         assert (buf.dtype, wide) == (narrow, np.int16)
-        strips = [x.dtype for _, x in jchar._finished_strips(buf, b, wide)]
-        assert set(strips) == {np.dtype(np.int16)}
         want = _subset_j_reference(d)
-        got = _subset_j(d)
-        assert got.dtype == want.dtype == np.int16 and (got == want).all()
+        assert want.dtype == np.int16
+        _assert_strips(buf, b, wide, want)
         assert _spectrum_wht(d, d.factors) == _spectrum_dfs(d, d.factors)
 
 
