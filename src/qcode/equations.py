@@ -56,10 +56,6 @@ def is_canonical(w: tuple[int, ...]) -> bool:
     return any(w)
 
 
-def canonicalize(w: tuple[int, ...]) -> tuple[int, ...]:
-    return w if is_canonical(w) else negate(w)
-
-
 def canonical_wordtypes(p: int) -> tuple[tuple[int, ...], ...]:
     """Canonical nonzero wordtypes, shortest Lee length first.
 
@@ -264,11 +260,8 @@ class EquationSystem:
             raise ValueError("the zero wordtype has no word-length row")
         if is_canonical(w):
             return self._build(w)
-        base = self._build(canonicalize(w))
+        base = self._build(negate(w))
         return KEquation(w, base.constant, base.grid)
-
-    def a_equation_for(self, w: tuple[int, ...]) -> AEquation:
-        return self._a.get(tuple(x % 2 for x in w)) or a_equation(w)
 
     @property
     def constants(self) -> tuple[int, ...]:

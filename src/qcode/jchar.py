@@ -81,12 +81,9 @@ class WordSpectrum:
     entries: tuple[tuple[int, Fraction, int], ...]
 
     def __post_init__(self):
-        # sorted only when a cell is out of order: rho = num / den is
-        # -(num * (scale // den)) / scale, negated for largest first
+        # sorted only when a cell is out of order
         if not _checked_in_order(self.entries):
-            scale = lcm(*{rho.denominator for _, rho, _ in self.entries})
-            ordered = tuple(sorted(self.entries, key=lambda e: (
-                e[0], -e[1].numerator * (scale // e[1].denominator))))
+            ordered = tuple(sorted(self.entries, key=lambda e: (e[0], -e[1])))
             _checked_in_order(ordered)  # each duplicate beside its twin
             object.__setattr__(self, "entries", ordered)
 
@@ -286,9 +283,10 @@ def _rows_from_runs(d: BinaryDesign) -> tuple[np.ndarray, int, np.dtype]:
     factors - floor(log2 runs) bits (capped at half a block, 0 from
     2^factors runs up), and the narrowest type that holds +-runs.  In
     the (2^(f-b), 2^b) view a run with mask hi * 2^b + lo adds row lo of
-    H_b to row hi; a Z4 code's design has b = 2p, one run per row.  The
-    buffer's type holds the most runs of one WHT block, which bound its
-    cells until the high bits; the runs per row are the fill at b = 0."""
+    H_b to row hi; a Z4 code's design has b = 2p, one run per row, and at
+    b = 0 the rows of H_0 = [[1]] make the masks' histogram.  The buffer's
+    type holds the most runs of one WHT block, which bound its cells
+    until the high bits."""
     wide = np.min_scalar_type(-d.runs - 1)
     b = max(0, min(d.factors - (max(d.runs, 1).bit_length() - 1),
                    _WHT_BLOCK_BITS // 2))
@@ -301,8 +299,6 @@ def _rows_from_runs(d: BinaryDesign) -> tuple[np.ndarray, int, np.dtype]:
     blocks = hits.reshape(-1, 1 << (min(d.factors, _WHT_BLOCK_BITS) - b))
     dtype = wide if len(blocks) == 1 else np.min_scalar_type(
         -int(blocks.sum(1, dtype=wide).max()) - 1)
-    if not b:
-        return hits.astype(dtype, copy=False), b, wide
     cell = np.zeros(len(hits), dtype=np.uint8)  # lo of a run in each row
     cell[hi] = lo
     several = hits[hi] > 1  # never in a code's design
@@ -310,11 +306,9 @@ def _rows_from_runs(d: BinaryDesign) -> tuple[np.ndarray, int, np.dtype]:
     h_b = _hadamard(b, dtype)
     out = np.empty(1 << d.factors, dtype=dtype)
     rows = out.reshape(len(hits), -1)
-    step = (1 << _WHT_BLOCK_BITS) >> b
-    for at in range(0, len(rows), step):
-        np.take(h_b, cell[at:at + step], axis=0, out=rows[at:at + step],
-                mode="clip")  # "raise" would buffer `out`
+    np.take(h_b, cell, axis=0, out=rows, mode="clip")  # "raise" buffers `out`
     rows[hits != 1] = 0
+    step = (1 << _WHT_BLOCK_BITS) >> b
     for at in range(0, len(hi), step):
         np.add.at(rows, hi[at:at + step], h_b[lo[at:at + step]])
     return out, b, wide

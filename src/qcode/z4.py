@@ -88,12 +88,6 @@ class BinaryDesign:
     factors: int
     cells: np.ndarray  # runs x factors, entries +1/-1, int8
 
-    def column(self, index: int) -> np.ndarray:
-        """1-based column access."""
-        if not 1 <= index <= self.factors:
-            raise ValueError(f"column index {index} outside 1..{self.factors}")
-        return self.cells[:, index - 1]
-
 
 @dataclass(frozen=True)
 class FrequencyVector:

@@ -190,11 +190,11 @@ def test_a_equation_delta():
 
 def test_a_equation_closed_form(systems):
     sysm = systems[3]
-    for pi in parity_classes(3):
-        eq = sysm.a_equation_for(pi)
+    for row, pi in zip(sysm.B.tolist(), sysm.a_order):
         want = tuple(sum(a * b for a, b in zip(pi, i)) % 2
                      for i in cells(3))
-        assert eq.coeffs == want
+        assert a_equation(pi).coeffs == want
+        assert tuple(row) == want
 
 
 def test_system_rejects_foreign_wordtype(systems):

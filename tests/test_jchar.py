@@ -429,6 +429,19 @@ def test_subset_j_sums_the_rows_of_repeated_runs(rng, runs, factors):
     assert _gathered_bits(d) == max(0, min(low, 8))
 
 
+@pytest.mark.parametrize("copies", [1, 3])
+@pytest.mark.parametrize("factors", [3, 6, 10])
+def test_full_factorial_fills_at_b_0(factors, copies):
+    """A full factorial, alone or replicated, has 2^factors runs or more,
+    so the gather takes b = 0: rows of H_0 = [[1]] and the repeated runs
+    give the masks' histogram, and no subset of columns is a word."""
+    signs = (np.arange(1 << factors)[:, None] >> np.arange(factors)) & 1
+    cells = np.tile(1 - 2 * signs, (copies, 1)).astype(np.int8)
+    d = BinaryDesign(len(cells), factors, cells)
+    assert _gathered_bits(d) == 0
+    assert spectrum_bruteforce(d, factors).entries == ()
+
+
 @pytest.mark.parametrize("factors", [3, 5, 7, 9])
 def test_spectrum_of_a_design_with_no_runs_is_empty(factors):
     """No runs: the gather's row bits stay within the factors, and every
