@@ -202,6 +202,26 @@ def a_equation(w: tuple[int, ...]) -> AEquation:
     return AEquation(parity, 1 - q % 2, _digits(len(w)) @ parity % 2)
 
 
+@functools.cache
+def _row(w: tuple[int, ...]) -> KEquation:
+    """Row of canonical wordtype w, from the one-column bases (1,) and
+    (2,) by the moves alone.  Every wordtype it recurses on is canonical
+    and narrower or holds fewer 1s or 2s."""
+    p = len(w)
+    if p == 1:
+        return basis_single_one(1, 0) if w == (1,) else basis_single_two(1, 0)
+    if 0 in w:
+        pos = w.index(0)
+        return lift_insert_zero(_row(w[:pos] + w[pos + 1:]), pos)
+    if all(x % 2 for x in w):
+        if w == (1,) + (3,) * (p - 1):
+            return lift_all_odd(_row((1,) * (p - 1)))
+        j = w.index(1, 1)
+        return toggle_entry(_row(w[:j] + (3,) + w[j + 1:]), j)
+    j = w.index(2)
+    return toggle_entry(_row(w[:j] + (0,) + w[j + 1:]), j)
+
+
 class EquationSystem:
     """All canonical word-length rows and parity rows for p columns.
 
@@ -213,43 +233,9 @@ class EquationSystem:
         self.p = p
         self.k_order = canonical_wordtypes(p)
         self.a_order = parity_classes(p)
-        self._memo: dict[tuple[int, ...], KEquation] = {}
-        for w in self.k_order:
-            self._build(w)
         self._a = {pi: a_equation(pi) for pi in self.a_order}
-        self.C = _stacked(self._memo[w].grid for w in self.k_order)
+        self.C = _stacked(_row(w).grid for w in self.k_order)
         self.B = _stacked(self._a[pi].grid for pi in self.a_order)
-
-    def _build(self, w: tuple[int, ...]) -> KEquation:
-        got = self._memo.get(w)
-        if got is not None:
-            return got
-        p = self.p
-        nonzero = [j for j, x in enumerate(w) if x]
-        if len(nonzero) == 1:
-            j = nonzero[0]
-            if w[j] == 1:
-                eq = basis_single_one(p, j)
-            elif w[j] == 2:
-                eq = basis_single_two(p, j)
-            else:  # a lone 3 is the toggled lone 1
-                eq = toggle_entry(basis_single_one(p, j), j)
-        elif 0 in w:
-            pos = w.index(0)
-            narrow = build_system(p - 1)._build(w[:pos] + w[pos + 1:])
-            eq = lift_insert_zero(narrow, pos)
-        elif all(x % 2 for x in w):
-            if w == (1,) + (3,) * (p - 1):
-                ones = ((1,) * (p - 1))
-                eq = lift_all_odd(build_system(p - 1)._build(ones))
-            else:
-                j = next(j for j in range(1, p) if w[j] == 1)
-                eq = toggle_entry(self._build(w[:j] + (3,) + w[j + 1:]), j)
-        else:
-            j = w.index(2)
-            eq = toggle_entry(self._build(w[:j] + (0,) + w[j + 1:]), j)
-        self._memo[w] = eq
-        return eq
 
     def k_equation(self, w: tuple[int, ...]) -> KEquation:
         """Row for any nonzero wordtype; w and -w share one row."""
@@ -259,13 +245,13 @@ class EquationSystem:
         if not any(w):
             raise ValueError("the zero wordtype has no word-length row")
         if is_canonical(w):
-            return self._build(w)
-        base = self._build(negate(w))
+            return _row(w)
+        base = _row(negate(w))
         return KEquation(w, base.constant, base.grid)
 
     @property
     def constants(self) -> tuple[int, ...]:
-        return tuple(self._build(w).constant for w in self.k_order)
+        return tuple(_row(w).constant for w in self.k_order)
 
     @property
     def deltas(self) -> tuple[int, ...]:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,14 @@ def test_json_writer_matches_json_dumps(value):
     out = io.StringIO()
     _write_json(out, value)
     assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value, kind", [
+    (1.5, "float"), (Fraction(1, 2), "Fraction"), (np.int64(3), "int64"),
+    ([np.zeros(2)], "ndarray"), ({"zero-d": np.array(3)}, "ndarray")])
+def test_json_writer_refuses_other_types(value, kind):
+    with pytest.raises(TypeError, match=f"^{kind} is not rendered as JSON$"):
+        _write_json(io.StringIO(), value)
 
 
 def int_arrays(shape):

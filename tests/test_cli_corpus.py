@@ -15,6 +15,8 @@ still built its full spectrum and then copied the clipped part.  The
 `matrices --p 4` and `--p 5` text ones and the `extend --output` file
 one were recorded while the CLI still rendered JSON through
 `json.dumps(..., indent=2)`, before its own writer replaced it.  The
+`extend --format text` one was recorded before the equation rows came
+from one cached recursion.  The
 two `matrices --p 6 --output` ones (79 MB of JSON, hashed a chunk at a
 time) were recorded while equation rows were still tuples of Python
 ints, before they became uint8 arrays rendered as bytes.  The three
@@ -62,6 +64,7 @@ CORPUS = (
       for c in ("max_resolution", "gma")),
     ("verify",),
     ("extend", "--input", "{freq}", "--t", 1),
+    ("extend", "--input", "{freq}", "--t", 1, "--format", "text"),
 )
 
 #: invocations whose --output file is hashed, not their stdout
@@ -133,6 +136,8 @@ DIGESTS = {
         "14cfc77d27ba3afbadc35fb6fa614f522c7806558e7b068ee612f8caa14ab18c",
     "extend --input {freq} --t 1":
         "322af31c430d9bbbf8e64113d55d25a812c45beb72cfc778a6f36918c2dd5f11",
+    "extend --input {freq} --t 1 --format text":
+        "db092301ccba19d09574d4d3d34311a42645846f8ef0bc99707b89243eb4881d",
 }
 
 FILE_DIGESTS = {

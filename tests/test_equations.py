@@ -8,6 +8,7 @@ matrices bit-exactly. Here it cross-checks the rule chain everywhere
 the frozen data does not reach.
 """
 
+import re
 from itertools import product
 
 import numpy as np
@@ -19,7 +20,8 @@ from qcode import (EquationSystem, a_equation, all_odd_closed_form,
                    basis_single_one, basis_single_two, build_system,
                    ca_add, canonical_wordtypes, lee_weight, lift_all_odd,
                    lift_insert_zero, parity_classes, toggle_entry)
-from qcode.equations import cells, is_canonical, negate
+from qcode.equations import (KEquation, _cached_system, _row, cells,
+                             is_canonical, negate)
 
 
 def closed_form_coeffs(w):
@@ -202,6 +204,33 @@ def test_system_rejects_foreign_wordtype(systems):
         systems[2].k_equation((0, 0))
     with pytest.raises(ValueError):
         systems[2].k_equation((1, 1, 1))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: build_system(0), "p must be in 1..6, got 0"),
+    (lambda: build_system(7), "p must be in 1..6, got 7"),
+    (lambda: KEquation((1,), 1, np.zeros(3, np.uint8)),
+     "coefficient row does not cover all cells"),
+    (lambda: ca_add(basis_single_one(1, 0), basis_single_two(2, 0)),
+     "mixed widths"),
+    (lambda: lift_all_odd(basis_single_two(1, 0)),
+     "lift starts from the all-one wordtype"),
+    (lambda: all_odd_closed_form(0), "p must be positive"),
+])
+def test_equation_arguments_are_refused(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_a_cold_system_builds_no_narrower_one():
+    """Rows come from one cached recursion down to p = 1, so building the
+    p = 5 system from cold caches that system alone, with the same C."""
+    before = build_system(5).C
+    _cached_system.cache_clear()
+    _row.cache_clear()
+    sysm = build_system(5)
+    assert _cached_system.cache_info().currsize == 1
+    assert sysm.C is not before and np.array_equal(sysm.C, before)
 
 
 def test_system_matrices_shape(systems):

@@ -53,6 +53,15 @@ def test_j_subset_validation(d16x6):
         j_characteristic(d16x6, (0, 1))
     with pytest.raises(ValueError):
         j_characteristic(d16x6, (5, 6, 7))
+    with pytest.raises(ValueError, match="^column subset is empty$"):
+        j_characteristic(d16x6, [])
+
+
+def test_lengths_above_the_factor_count_are_refused(d16x6):
+    with pytest.raises(ValueError, match="^max_len 7 exceeds 6 factors$"):
+        spectrum_bruteforce(d16x6, 7)
+    with pytest.raises(ValueError, match="^word length 5 exceeds 4 factors$"):
+        summarize(WordSpectrum(((5, Fraction(1), 1),)), 4)
 
 
 def test_j_invariances(d16x6, rng):

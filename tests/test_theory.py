@@ -23,11 +23,11 @@ import qcode
 from conftest import (MIXED_PARITIES, miscount_scan, random_generator,
                       random_precondition_generator)
 from qcode import (FrequencyVector, GeneratorSpec, PreconditionError,
-                   SpectrumMismatch, aliasing_exponent, analyze, build_design,
-                   class_rhos, evaluate, fixed_point_7, frequency_vector,
-                   generator_for_frequency, parity_classes, periodic_extend,
-                   precondition_sums, preconditions_met, search,
-                   spectrum_bruteforce, summarize, theory_spectrum)
+                   SpectrumMismatch, WordSpectrum, aliasing_exponent, analyze,
+                   build_design, class_rhos, evaluate, fixed_point_7,
+                   frequency_vector, generator_for_frequency, parity_classes,
+                   periodic_extend, precondition_sums, preconditions_met,
+                   search, spectrum_bruteforce, summarize, theory_spectrum)
 from qcode.equations import MAX_P, build_system, canonical_wordtypes, cells
 from qcode.theory import (WORK_BUDGET, _best_frequencies, _cell_sum,
                           _cell_terms, _distinct_rows, _dual_keys,
@@ -92,6 +92,9 @@ def test_class_rhos_need_the_preconditions():
     assert {rho for _, rho, _ in spec.entries} == {1}
     with pytest.raises(ValueError, match="p = 2"):
         class_rhos(FrequencyVector(2, (0, 1) + (0,) * 14))
+    with pytest.raises(ValueError, match="^preconditions are defined for "
+                       "p = 3 only$"):
+        precondition_sums(FrequencyVector(2, (0, 1) + (0,) * 14))
 
 
 def test_evaluate_refuses_n_past_the_int64_bound():
@@ -376,6 +379,22 @@ def test_analyze_refuses_a_bad_max_length(design256, method, max_length):
     """Only an int in 3..factors, on every route."""
     with pytest.raises(ValueError, match="^max_length must be"):
         analyze(design256[0], method=method, max_length=max_length)
+
+
+def test_analyze_refuses_an_unknown_method(design256):
+    with pytest.raises(ValueError, match="^unknown method 'fast'$"):
+        analyze(design256[0], method="fast")
+
+
+@pytest.mark.parametrize("method", ["bruteforce", "both"])
+def test_analyze_refuses_a_non_dyadic_scan(monkeypatch, design256, method):
+    """A Z4 design's aliasing indices are powers of 1/2; the scan's
+    report is checked before it is read."""
+    monkeypatch.setattr(theory, "spectrum_bruteforce", lambda *a, **k:
+                        WordSpectrum(((3, Fraction(1, 3), 1),)))
+    with pytest.raises(AssertionError, match="^non-dyadic aliasing index "
+                       "in a quaternary-code design$"):
+        analyze(design256[0], method=method)
 
 
 def test_clipped_reports_agree_on_frozen_design(design256):
@@ -747,6 +766,10 @@ def test_search_rejects_bad_arguments():
         search(2.0, 3)
     with pytest.raises(ValueError, match="must be integers, got True"):
         search(2, 3, top=True)
+    with pytest.raises(ValueError, match="^unknown criterion 'best'$"):
+        search(2, 3, criterion="best")
+    with pytest.raises(ValueError, match="^top must be positive$"):
+        search(2, 3, top=0)
 
 
 def test_search_gate_digest():

@@ -31,6 +31,13 @@ def test_lee_weights():
     assert [lee_weight(x) for x in range(4)] == [0, 1, 2, 1]
 
 
+@pytest.mark.parametrize("fn", [lee_weight, gray_map])
+@pytest.mark.parametrize("x", [-1, 4])
+def test_z4_maps_refuse_other_symbols(fn, x):
+    with pytest.raises(ValueError, match=f"^not a Z4 element: {x}$"):
+        fn(x)
+
+
 def test_lee_weight_is_gray_hamming_distance():
     origin = gray_map(0)
     for x in range(4):
@@ -49,6 +56,10 @@ def test_generator_validation():
         GeneratorSpec(2, 2, ((1, 2),))
     with pytest.raises(ValueError):
         GeneratorSpec(1, 2, ((1,),))
+    for n, p, V in ((0, 1, ()), (1, 0, ((),))):
+        with pytest.raises(ValueError, match=f"^n and p must be positive, "
+                           f"got n={n}, p={p}$"):
+            GeneratorSpec(n, p, V)
 
 
 def test_codewords_enumeration_order():
