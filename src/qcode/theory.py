@@ -346,8 +346,8 @@ def analyze(g: GeneratorSpec, method: str = "theory",
     terms = _cell_sum(frequency_vector(g)) if g.p <= MAX_P else None
     ev = (TheoryEvaluation(g.p, (), ()) if terms is None
           else _evaluation(terms, g.p))
-    ok = bool(terms[_PRECONDITION_COLUMNS].all()) if g.p == 3 else g.p < 3
-    rhos = _class_rhos(ev) if g.p == 3 and ok else ()
+    ok = g.p == 3 and bool(terms[_PRECONDITION_COLUMNS].all())
+    rhos = _class_rhos(ev) if ok else ()
 
     theory = (None if method == "bruteforce"
               else _dual_spectrum(terms, g.p, max_len, factors))

@@ -227,31 +227,13 @@ def design_to_text(d: BinaryDesign, write=None) -> str | None:
     return None
 
 
-def _read_cells(body: str) -> np.ndarray:
-    r"""The cells of a design body as `int()` reads each one, in one
-    `loadtxt` call where that reads them alike.  loadtxt is given ASCII
-    bytes, which it holds at one byte a character (a `StringIO` holds
-    four).  It takes "\r" for a line end, where int() sees white space,
-    so it is given a space; it takes "\x1c".."\x1f" for white space,
-    where int() sees an error; and it refuses a cell out of int8 range
-    or spelled as only int() spells it ("0_1").  Such a body, and one
-    that is not ASCII, is read cell by cell."""
-    if body.isascii() and not any(c in body for c in "\x1c\x1d\x1e\x1f"):
-        try:
-            return np.loadtxt(io.BytesIO(body.replace("\r", " ").encode()),
-                              delimiter=",", dtype=np.int8, ndmin=2,
-                              comments=None)
-        except ValueError:
-            pass
-    return np.array([[int(v) for v in line.split(",")]
-                     for line in body.split("\n")], dtype=object)
-
-
 def design_from_text(text: str) -> BinaryDesign:
-    """Parse design text: what `design_to_text` writes, with any cell
-    that `int()` reads, LF or CRLF line ends, and trailing blank lines.
-    An interior blank line, a ragged body or a cell other than +1 or -1
-    is a `ValueError`."""
+    r"""Parse design text: what `design_to_text` writes, with LF or CRLF
+    line ends and trailing blank lines.  The body is read in one `loadtxt`
+    call into int8, with each "\r" as a space.  A cell other than +1 or -1
+    (an ASCII decimal integer, white space about it), a ragged or blank
+    line, or "\x1c".."\x1f" (white space to loadtxt, not to `int()`) is a
+    `ValueError` of one line."""
     head, _, body = text.strip().partition("\n")
     header = head.split()
     try:
@@ -261,11 +243,18 @@ def design_from_text(text: str) -> BinaryDesign:
         raise ValueError(f"bad design header: {head!r}")
     if "\n\n" in body or body.startswith("\n"):
         raise ValueError("design body has a blank line")
-    cells = _read_cells(body) if body else np.empty(0)  # loadtxt warns on ""
+    if any(c in body for c in "\x1c\x1d\x1e\x1f"):
+        raise ValueError("design cells must be +1 or -1, not \\x1c..\\x1f")
+    try:  # ASCII bytes: a StringIO would hold four bytes a character
+        cells = np.loadtxt(io.BytesIO(body.replace("\r", " ").encode("ascii")),
+                           delimiter=",", dtype=np.int8, ndmin=2,
+                           comments=None) if body else np.empty(0)  # "" warns
+    except ValueError as exc:  # loadtxt's, or UnicodeEncodeError past ASCII
+        why = str(exc).partition("; use `usecols`")[0]
+        raise ValueError(f"design rows must be +1 or -1: {why}") from None
     if cells.shape != (runs, factors):
         raise ValueError(f"design body {cells.shape} does not match header "
                          f"({runs}, {factors})")
     if not np.all(np.abs(cells) == 1):
         raise ValueError("design entries must be +1 or -1")
-    return BinaryDesign(runs=runs, factors=factors,
-                        cells=cells.astype(np.int8, copy=False))
+    return BinaryDesign(runs=runs, factors=factors, cells=cells)

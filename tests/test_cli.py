@@ -335,6 +335,26 @@ def test_exit_2_on_out_of_range_design_cell(tmp_path, capsys):
     assert err.count("\n") == 1 and "+1 or -1" in err
 
 
+@pytest.mark.parametrize("body", [
+    "+1,-1\n-1\n",       # a ragged row
+    "+1,128\n-1,+1\n",   # out of int8
+    "+0_1,-1\n-1,+1\n",  # int() reads 0_1, loadtxt does not
+    "+1,\xa0-1\n-1,+1\n",  # white space past ASCII
+    "+1,\x1c-1\n-1,+1\n",  # white space to loadtxt, not to int()
+])
+def test_exit_2_on_unreadable_design_body(tmp_path, capsys, body):
+    """Each body is refused in one stderr line that asks for +1 or -1,
+    with no traceback and none of loadtxt's advice about `usecols`."""
+    path = tmp_path / "design.txt"
+    path.write_text("runs=2 factors=2\n" + body, encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--input", path,
+                         "--method", "bruteforce")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "+1 or -1" in err
+    assert "Traceback" not in err and "usecols" not in err
+
+
 def test_search_expands_orbits_of_64_rows(capsys):
     """An orbit is expanded into its members, not into the 2^n sign
     patterns of its rows: the best design puts all 64 rows on cell 2,

@@ -419,6 +419,17 @@ def test_analyze_bruteforce_above_max_p():
     assert rep.spectrum == spectrum_bruteforce(build_design(g), 16)
 
 
+@pytest.mark.parametrize("p", [1, 2, 4, 5, 6])
+def test_preconditions_met_false_off_p3(p):
+    """The preconditions are defined at p = 3 only: elsewhere a report
+    says they are not met, and carries no class aliasing indices."""
+    g = GeneratorSpec(1, p, (tuple(i % 4 for i in range(1, p + 1)),))
+    rep = analyze(g)
+    assert not rep.preconditions_met and rep.rhos == ()
+    with pytest.raises(ValueError, match="defined for p = 3 only"):
+        preconditions_met(frequency_vector(g))
+
+
 def test_evaluate_arrays_built_once_per_p(f256):
     """Every table the closed form reads per call (`evaluate`,
     `class_rhos`, `periodic_extend` and the dual pass) is cached per p:
@@ -778,7 +789,7 @@ def test_search_gate_digest():
     text = "".join(repr(search(n, p, c, top=5)) for n in range(1, 5)
                    for p in range(1, 4) for c in ("max_resolution", "gma"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "f5ed50d8f8796d15574b483e957756afd79b54523b68bc57321f0a31dd237872")
+        "b2fb3c7d014e0635a423e2f91043f4588b508b339481fc4e131fffd6abe0f0c0")
 
 
 def _repr_or_error(fn, *args, **kwargs) -> str:
@@ -820,7 +831,7 @@ def test_theory_report_gate_digest():
         for text in outputs:
             digest.update(text.encode())
     assert digest.hexdigest() == (
-        "bc004ee8650e2a663e8340466c6d51e601a40ced0279513c54e8ffd3629e208a")
+        "4f71d2e396ba17613687e5fb37c9fdac0c2036e91a982e4f0faa3beb3e144fc0")
 
 
 @settings(max_examples=200, deadline=None)
