@@ -11,9 +11,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from math import comb, lcm
-from operator import itemgetter
+from math import comb
 
 import numpy as np
 
@@ -131,20 +129,30 @@ class DesignSummary:
         return str(self.resolution)
 
 
+@functools.lru_cache(maxsize=1024)
+def _whole(c: int) -> Fraction:
+    """A GWLP entry A_L = c, one shared Fraction per count."""
+    return Fraction(c)
+
+
 def summarize(spectrum: WordSpectrum, factors: int,
               scanned_length: int | None = None) -> DesignSummary:
-    """GWLP A_3..A_factors plus generalized resolution r + 1 - max rho at r."""
+    """GWLP A_3..A_factors plus generalized resolution r + 1 - max rho at r.
+    A_length sums count * num^2 / den^2 over its cells as an int, with a
+    Fraction only for a remainder: a code's cell of rho = 2^-e holds a
+    multiple of 4^e words, so its tally has none."""
     scanned = factors if scanned_length is None else scanned_length
-    gwlp = [Fraction(0)] * (factors - 2)
-    # A_length = sum of count * num^2 / den^2, over the lcm of the dens
-    for length, cells in groupby(spectrum.entries, key=itemgetter(0)):
+    sums = {}  # an int per length, a Fraction once a cell leaves a remainder
+    for length, rho, count in spectrum.entries:
         if length > factors:
             raise ValueError(f"word length {length} exceeds {factors} factors")
-        cells = list(cells)
-        den = lcm(*(rho.denominator for _, rho, _ in cells))
-        gwlp[length - 3] = Fraction(sum(
-            c * (rho.numerator * (den // rho.denominator)) ** 2
-            for _, rho, c in cells), den * den)
+        num, den = rho.as_integer_ratio()
+        q, r = divmod(count * num * num, den * den)
+        a = sums.get(length, 0) + q
+        sums[length] = a + Fraction(r, den * den) if r else a
+    gwlp = [_whole(0)] * (factors - 2)
+    for length, a in sums.items():
+        gwlp[length - 3] = _whole(a) if type(a) is int else a
     if not spectrum.entries:
         return DesignSummary(tuple(gwlp), None, None, scanned)
     # entries run by length, then largest rho first

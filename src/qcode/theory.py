@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, isqrt
@@ -154,10 +155,10 @@ def theory_spectrum(f: FrequencyVector) -> WordSpectrum:
     8 * 4^e words of aliasing index 2^-e, spread evenly (2 * 4^e each)
     over its 4 canonical wordtypes at length k_w + Lee(w); the 7 fully
     even wordtypes contribute one completely aliased word each.  The
-    spectrum is the runs of one sorted tally of the dual pass, which
+    spectrum is the cells of one sorted tally of the dual pass, which
     agrees with that form (`_dual_cells`); no GWLP is built.
     """
-    return _spectrum(_dual_cells(_require_preconditions(f), 3, 2 * f.n + 6))
+    return _dual_cells(_require_preconditions(f), 3, 2 * f.n + 6)
 
 
 def _require_preconditions(f: FrequencyVector) -> np.ndarray:
@@ -192,12 +193,6 @@ def _class_rhos(ev: TheoryEvaluation) -> tuple[Fraction, ...]:
 def _dyadic(e: int) -> Fraction:
     """The aliasing index 2^-e, one shared Fraction per exponent."""
     return Fraction(1, 1 << e)
-
-
-@functools.lru_cache(maxsize=1024)
-def _whole(c: int) -> Fraction:
-    """A GWLP entry A_L = c, one shared Fraction per count."""
-    return Fraction(c)
 
 
 @functools.cache
@@ -265,45 +260,18 @@ def _dual_words(terms: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return lengths, _half_excess(excess)[:, pattern]
 
 
-def _dual_cells(terms: np.ndarray, p: int, max_len: int
-                ) -> list[tuple[int, int, int]]:
-    """(L, e, words) per cell of the words 3..max_len long, from one table
-    sum: the runs of the sorted keys L * (max_len + 1) + e are the cells,
-    in canonical order (L ascending, then rho largest first), and a run
-    holds one dual word w per member."""
+def _dual_cells(terms: np.ndarray, p: int, max_len: int) -> WordSpectrum:
+    """The spectrum of the words 3..max_len long, from one table sum: the
+    keys L * (max_len + 1) + e, sorted, run in canonical order (L
+    ascending, then rho largest first), and each dual word w of a key
+    adds 4^e words of index 2^-e to its cell."""
     lengths, exps = (a[0] for a in _dual_words(terms[None], p))
     keep = (lengths >= 3) & (lengths <= max_len)
-    keys = np.sort(lengths[keep] * (max_len + 1) + exps[keep])
-    # where each run of equal keys starts, then the end
-    bounds = np.ones(len(keys) + 1, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=bounds[1:-1])
-    bounds = np.flatnonzero(bounds)
-    ls, es = np.divmod(keys[bounds[:-1]], max_len + 1)
-    return list(zip(ls.tolist(), es.tolist(), np.diff(bounds).tolist()))
-
-
-def _spectrum(cells: list[tuple[int, int, int]]) -> WordSpectrum:
-    """Each dual word w of a cell adds 4^e words of index 2^-e."""
+    keys = np.sort(lengths[keep] * (max_len + 1) + exps[keep]).tolist()
+    cells = [(*divmod(key, max_len + 1), c)
+             for key, c in Counter(keys).items()]
     return WordSpectrum(tuple((l, _dyadic(e), c << 2 * e)
                               for l, e, c in cells))
-
-
-def _dual_spectrum(terms: np.ndarray, p: int, max_len: int, factors: int
-                   ) -> tuple[WordSpectrum, DesignSummary]:
-    """The spectrum of the words 3..max_len long, and its summary, from one
-    table sum (`_dual_cells`): each w adds 1 to A_{L_w}, so A_L is the
-    sum of the run counts at L."""
-    cells = _dual_cells(terms, p, max_len)
-    words = {}
-    for l, _, c in cells:
-        words[l] = words.get(l, 0) + c
-    gwlp = [Fraction(0)] * (factors - 2)
-    for l, c in words.items():
-        gwlp[l - 3] = _whole(c)
-    worst = _dyadic(cells[0][1]) if cells else None
-    resolution = cells[0][0] + 1 - worst if cells else None
-    return (_spectrum(cells),
-            DesignSummary(tuple(gwlp), resolution, worst, max_len))
 
 
 @dataclass(frozen=True)
@@ -349,22 +317,17 @@ def analyze(g: GeneratorSpec, method: str = "theory",
     ok = g.p == 3 and bool(terms[_PRECONDITION_COLUMNS].all())
     rhos = _class_rhos(ev) if ok else ()
 
-    theory = (None if method == "bruteforce"
-              else _dual_spectrum(terms, g.p, max_len, factors))
-    spec, summary = theory or (None, None)
+    spec = None if method == "bruteforce" else _dual_cells(terms, g.p, max_len)
     if method != "theory":
-        spec = spectrum_bruteforce(build_design(g), max_len, force=force)
-        if not spec.is_dyadic():
+        brute = spectrum_bruteforce(build_design(g), max_len, force=force)
+        if not brute.is_dyadic():
             raise AssertionError(
                 "non-dyadic aliasing index in a quaternary-code design")
-        summary = summarize(spec, factors, max_len)
-        if theory is not None:
-            _compare_spectra(theory[0], spec)
-            if theory[1] != summary:
-                raise SpectrumMismatch(f"closed form and subset scan "
-                                       f"disagree: {theory[1]} vs {summary}")
-    return TheoryReport(4 ** g.n, factors, method, ev.k_values,
-                        ev.a_values, rhos, spec, summary, ok)
+        if spec is not None:
+            _compare_spectra(spec, brute)
+        spec = brute
+    return TheoryReport(4 ** g.n, factors, method, ev.k_values, ev.a_values,
+                        rhos, spec, summarize(spec, factors, max_len), ok)
 
 
 def _compare_spectra(theory: WordSpectrum, brute: WordSpectrum) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,10 +231,11 @@ def design_to_text(d: BinaryDesign, write=None) -> str | None:
 def design_from_text(text: str) -> BinaryDesign:
     r"""Parse design text: what `design_to_text` writes, with LF or CRLF
     line ends and trailing blank lines.  The body is read in one `loadtxt`
-    call into int8, with each "\r" as a space.  A cell other than +1 or -1
-    (an ASCII decimal integer, white space about it), a ragged or blank
-    line, or "\x1c".."\x1f" (white space to loadtxt, not to `int()`) is a
-    `ValueError` of one line."""
+    call into int8, with each "\r" as a space, and each character past
+    ASCII, or "\x1c".."\x1f" (white space to loadtxt, not to `int()`), as
+    its escape, which no cell reads.  A cell other than +1 or -1 (an
+    ASCII decimal integer, white space about it), or a ragged or blank
+    line, is a `ValueError` of one line that names its 1-based run."""
     head, _, body = text.strip().partition("\n")
     header = head.split()
     try:
@@ -242,19 +244,24 @@ def design_from_text(text: str) -> BinaryDesign:
     except (IndexError, ValueError):
         raise ValueError(f"bad design header: {head!r}")
     if "\n\n" in body or body.startswith("\n"):
-        raise ValueError("design body has a blank line")
-    if any(c in body for c in "\x1c\x1d\x1e\x1f"):
-        raise ValueError("design cells must be +1 or -1, not \\x1c..\\x1f")
+        run = body.count("\n", 0, ("\n" + body).index("\n\n")) + 1
+        raise ValueError(f"design body has a blank line: run {run}")
+    for c in "\x1c\x1d\x1e\x1f":  # white space to loadtxt alone
+        body = body.replace(c, repr(c)[1:-1])
     try:  # ASCII bytes: a StringIO would hold four bytes a character
-        cells = np.loadtxt(io.BytesIO(body.replace("\r", " ").encode("ascii")),
-                           delimiter=",", dtype=np.int8, ndmin=2,
-                           comments=None) if body else np.empty(0)  # "" warns
-    except ValueError as exc:  # loadtxt's, or UnicodeEncodeError past ASCII
-        why = str(exc).partition("; use `usecols`")[0]
-        raise ValueError(f"design rows must be +1 or -1: {why}") from None
+        cells = np.loadtxt(io.BytesIO(body.replace("\r", " ").encode(
+            "ascii", "backslashreplace")), delimiter=",", dtype=np.int8,
+            ndmin=2, comments=None) if body else np.empty(0)  # "" warns
+    except ValueError as exc:  # its rows: a bad cell's from 0, ragged from 1
+        why = re.sub(r"row (\d+),", lambda m: f"run {int(m[1]) + 1},",
+                     str(exc).partition("; use `usecols`")[0])
+        raise ValueError("design rows must be +1 or -1: "
+                         + why.replace("at row", "at run")) from None
     if cells.shape != (runs, factors):
         raise ValueError(f"design body {cells.shape} does not match header "
                          f"({runs}, {factors})")
     if not np.all(np.abs(cells) == 1):
-        raise ValueError("design entries must be +1 or -1")
+        run, col = np.argwhere(np.abs(cells) != 1)[0].tolist()
+        raise ValueError(f"design rows must be +1 or -1: {cells[run, col]} "
+                         f"at run {run + 1}, column {col + 1}")
     return BinaryDesign(runs=runs, factors=factors, cells=cells)

@@ -355,6 +355,21 @@ def test_exit_2_on_unreadable_design_body(tmp_path, capsys, body):
     assert "Traceback" not in err and "usecols" not in err
 
 
+
+@pytest.mark.parametrize("body, where", [
+    ("+1,-1\n-1\n", "at run 2"),               # loadtxt counts from 1
+    ("+1,-1\n-1,128\n", "at run 2, column 2."),  # loadtxt counts from 0
+    ("+1,-1\n2,+1\n", "at run 2, column 1"),    # int8, but not +-1
+    ("+1,-1\n\n-1,+1\n", "blank line: run 2")])
+def test_design_refusal_names_the_run(tmp_path, capsys, body, where):
+    """A refused design file names its 1-based run in one stderr line."""
+    path = tmp_path / "design.txt"
+    path.write_text("runs=2 factors=2\n" + body)
+    code, out, err = run(capsys, "analyze", "--input", path,
+                         "--method", "bruteforce")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"{where}\n") and err.count("\n") == 1
+
 def test_search_expands_orbits_of_64_rows(capsys):
     """An orbit is expanded into its members, not into the 2^n sign
     patterns of its rows: the best design puts all 64 rows on cell 2,

@@ -6,13 +6,14 @@ being wrong on day one; the independent closed-form checks live in
 test_theory.py where the two routes are compared.
 """
 
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_generator
@@ -582,14 +583,22 @@ _RHOS = st.integers(1, 30).flatmap(
 
 @settings(max_examples=200, deadline=None)
 @given(st.dictionaries(st.tuples(st.integers(3, 8), _RHOS),
-                       st.integers(1, 5), max_size=12), st.randoms())
+                       st.integers(1, 4 ** 12), max_size=12), st.randoms())
+@example({(4, Fraction(1, 2 ** 9)): 3 * 4 ** 9}, random.Random(0))  # dual
+@example({(5, HALF): 5}, random.Random(0))  # 5/4 = 1 + 1/4
+@example({(3, HALF): 4, (9, Fraction(1)): 1}, random.Random(0))  # past 8
 def test_summarize_and_order_match_fraction_reference(cells, shuffle):
     """Entries with rhos over mixed, non-dyadic denominators: the int
-    sort key and the int GWLP sums agree with plain Fraction work."""
+    sort key and the int GWLP sums (whole parts and remainders) agree
+    with plain Fraction work; a length past the factors is refused."""
     entries = [(length, rho, count) for (length, rho), count in cells.items()]
     shuffle.shuffle(entries)
     spec = WordSpectrum(tuple(entries))
     assert spec.entries == tuple(sorted(entries, key=lambda e: (e[0], -e[1])))
+    if any(length > 8 for length, _, _ in entries):
+        with pytest.raises(ValueError, match="exceeds 8 factors"):
+            summarize(spec, 8)
+        return
     gwlp = [Fraction(0)] * 6
     for length, rho, count in entries:
         gwlp[length - 3] += count * rho * rho

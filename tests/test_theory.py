@@ -271,8 +271,8 @@ def test_dual_spectrum_memory_is_the_gwlp_alone():
     factors = 2 * n + 6
     theory_spectrum(_sparse_f(3))  # fills the caches
     f = _sparse_f(n)
-    peak = _traced_peak(lambda: theory._dual_spectrum(
-        _cell_sum(f), 3, factors, factors))
+    peak = _traced_peak(lambda: summarize(
+        theory._dual_cells(_cell_sum(f), 3, factors), factors))
     assert peak < 20 * factors
 
 
@@ -324,20 +324,19 @@ def test_analyze_both_raises_on_mismatch(monkeypatch, design256):
         analyze(design256[0], method="both")
 
 
-def test_analyze_both_raises_on_a_summary_mismatch(monkeypatch, design256):
-    """`both` referees the summary read off the dual tally against
-    `summarize` of the scan's spectrum, even when the spectra agree."""
-    real = theory.summarize
+@pytest.mark.parametrize("method", ["theory", "bruteforce", "both"])
+def test_every_route_builds_one_summary(monkeypatch, design256, method):
+    """`analyze` sums the GWLP in one place, `summarize`, once per call on
+    every route, `both` included."""
+    calls = []
 
-    def off_by_one(spectrum, factors, scanned_length=None):
-        summary = real(spectrum, factors, scanned_length)
-        return dataclasses.replace(summary, gwlp=(summary.gwlp[0] + 1,
-                                                  *summary.gwlp[1:]))
+    def spy(*args):
+        calls.append(args)
+        return summarize(*args)
 
-    monkeypatch.setattr(theory, "summarize", off_by_one)
-    with pytest.raises(SpectrumMismatch, match="closed form and subset "
-                       "scan disagree: DesignSummary"):
-        analyze(design256[0], method="both")
+    monkeypatch.setattr(theory, "summarize", spy)
+    rep = analyze(design256[0], method=method)
+    assert len(calls) == 1 and rep.summary == summarize(*calls[0])
 
 
 @settings(max_examples=60, deadline=None)

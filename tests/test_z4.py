@@ -1,6 +1,7 @@
 """Construction layer: Gray map, codeword enumeration, design assembly."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -268,6 +269,41 @@ def test_design_text_blocks_join_at_run_boundaries(monkeypatch, rng, runs,
     assert "".join(blocks) == cell_by_cell_text(d)
     assert len(blocks) == 1 + (-(-runs // 3) if factors else 1)
 
+
+
+#: cells that loadtxt refuses, or reads into int8 as other than +-1
+_NOT_PM_ONE = ("2", "0", "-128", "128", "x", "+0_1", "1.0", "\xa0-1",
+               "\x1c-1")
+
+
+@settings(max_examples=200, deadline=None)
+@given(PM_ONE, st.data())
+def test_design_text_refusal_names_the_run(cells, data):
+    """One bad cell is refused with its 1-based run and column, whether
+    loadtxt or the +-1 check finds it; a blank line, or a run of one cell
+    too many after the first run, with its 1-based run."""
+    runs, factors = cells.shape
+    lines = [",".join("+1" if v > 0 else "-1" for v in row) for row in cells]
+    at = data.draw(st.integers(0, runs - 1), label="run")
+    how = data.draw(st.sampled_from(["cell", "ragged", "blank"]), label="how")
+    if how == "ragged" and not at:  # loadtxt counts cells against run 1
+        how = "blank"
+    end = "\n" if how == "blank" else data.draw(st.sampled_from(ENDS))
+    where = f"run {at + 1}"
+    if how == "cell":
+        col = data.draw(st.integers(0, factors - 1), label="column")
+        row = lines[at].split(",")
+        row[col] = data.draw(st.sampled_from(_NOT_PM_ONE), label="cell")
+        lines[at] = ",".join(row)
+        where += f", column {col + 1}"
+    elif how == "ragged":
+        lines[at] += ",+1"
+    else:
+        lines.insert(at, "")
+    text = f"runs={runs} factors={factors}{end}" + end.join(lines) + end
+    with pytest.raises(ValueError) as info:
+        design_from_text(text)
+    assert re.search(rf"\b{where}\.?$", str(info.value)), str(info.value)
 
 #: cells that int() reads, some as +-1, and cells it refuses; the reader
 #: under test refuses "+0_1" too, as loadtxt reads no underscore
